@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from typing import Any
 
 ZERO_HASH = "0" * 64
 
-_HEX_DIGITS = frozenset("0123456789abcdef")
+# explicit ASCII class: `\d` would also match non-ASCII digits
+_HEX_FULLMATCH = re.compile(r"[0-9a-f]*").fullmatch
 
 
 def to_canonical_json(obj: Any) -> str:
@@ -44,5 +46,5 @@ def is_hex_digest(value: Any, length: int = 64) -> bool:
     return (
         isinstance(value, str)
         and len(value) == length
-        and all(c in _HEX_DIGITS for c in value)
+        and _HEX_FULLMATCH(value) is not None
     )

@@ -15,6 +15,7 @@ submitter to the content revealed later.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable
 
@@ -94,6 +95,13 @@ class WorldState:
     Mutable, but only op handlers touch it, and only after their guards
     pass. Holds the CVE registry, the authorized-CNA set, governance
     membership, id counters, and the append-only event log.
+
+    `_embargo_heap` is a derived index, not part of `to_dict()`: a min-heap
+    of `(embargo_until, year, sequence)`, one entry per draft ever stored.
+    `submit_cve` is the only place a DRAFT comes into being (no entry of
+    `LEGAL_TRANSITIONS` leads into DRAFT and split creates only PUBLISHED
+    records), so pushing there covers every draft. Entries go stale when
+    a draft is rejected or released early; the sweep drops them lazily.
     """
 
     def __init__(self) -> None:
@@ -110,6 +118,7 @@ class WorldState:
         self.clock_now: int = 0
         self._height: int = 0
         self._event_seq: int = 0
+        self._embargo_heap: list[tuple[int, int, int]] = []
 
     def begin_block(self, height: int, block_time: int) -> None:
         self._height = height
@@ -223,6 +232,8 @@ def submit_cve(
     state.cve_registry[stored.cve_id] = stored
     year = stored.cve_id.year
     state.id_counters[year] = max(state.id_counters.get(year, 0), stored.cve_id.sequence)
+    if embargoed:
+        heapq.heappush(state._embargo_heap, (stored.embargo_until, year, stored.cve_id.sequence))
     event = state._emit(
         "CVESubmitted", str(stored.cve_id), {"cveID": str(stored.cve_id), "status": stored.status.value}
     )
@@ -276,18 +287,27 @@ def check_embargo_releases(
     state: WorldState, clock: ChainClock, *, check_only: bool = False
 ) -> tuple[WorldState, list[Event]]:
     """Publish every draft whose embargo has passed (boundary inclusive:
-    embargoUntil == now releases). Ascending id order; idempotent."""
-    due = [
-        cid
-        for cid, rec in sorted(state.cve_registry.items())
-        if rec.status is CveStatus.DRAFT
-        and rec.embargo_until is not None
-        and rec.embargo_until <= clock.now
-    ]
+    embargoUntil == now releases). Ascending id order; idempotent.
+
+    Pops the due entries of `state._embargo_heap` instead of scanning the
+    registry. A popped entry counts only while the registry still holds
+    that id as a DRAFT with the same embargo; entries of drafts rejected
+    or released early are dropped here. Correct only because no status
+    transition leads back into DRAFT. The dry run has no guard to check,
+    so `check_only=True` returns before touching the heap.
+    """
     if check_only:
         return state, []
+    heap = state._embargo_heap
+    due = []
+    while heap and heap[0][0] <= clock.now:
+        until, year, sequence = heapq.heappop(heap)
+        cid = CveId(year=year, sequence=sequence)
+        record = state.cve_registry.get(cid)
+        if record is not None and record.status is CveStatus.DRAFT and record.embargo_until == until:
+            due.append(cid)
     events = []
-    for cid in due:
+    for cid in sorted(due):
         record = state.cve_registry[cid]
         state.cve_registry[cid] = record.with_(status=CveStatus.PUBLISHED, updated_at=clock.now)
         events.append(state._emit("EmbargoReleased", str(cid), {"cveID": str(cid)}))
@@ -458,6 +478,8 @@ def _handle_revoke(state, args, caller, clock, check_only):
         cna_id = args["cnaID"]
     except Exception as exc:
         raise _bad_args(f"bad revocation args: {exc}")
+    if not isinstance(cna_id, str):
+        raise _bad_args(f"cnaID must be a string, not {type(cna_id).__name__}")
     _, event = revoke_cna(state, cna_id, caller, check_only=check_only)
     return [] if event is None else [event]
 

@@ -224,6 +224,8 @@ def validate_schema(record: CveRecord) -> list[Violation]:
 
     if not record.description:
         out.append(Violation("EMPTY_DESCRIPTION", "description", "description must be non-empty"))
+    elif not isinstance(record.description, str):
+        out.append(Violation("BAD_DESCRIPTION_TYPE", "description", "description must be a string"))
     elif len(record.description.encode("utf-8")) > MAX_DESCRIPTION_BYTES:
         out.append(
             Violation(
@@ -234,6 +236,8 @@ def validate_schema(record: CveRecord) -> list[Violation]:
         )
     if not record.product:
         out.append(Violation("EMPTY_PRODUCT", "product", "product must be non-empty"))
+    elif not isinstance(record.product, str):
+        out.append(Violation("BAD_PRODUCT_TYPE", "product", "product must be a string"))
     if not is_valid_participant_id(record.submitter):
         out.append(Violation("BAD_SUBMITTER_ID", "submitterCNA", f"bad id: {record.submitter!r}"))
 

@@ -379,3 +379,38 @@ class TestDispatcher:
         check_embargo_releases(state, ChainClock(NOW + 10))
         positions = [(e.block_height, e.tx_index) for e in state.event_log]
         assert positions == sorted(set(positions)), "event positions must strictly increase"
+
+
+class TestArgTypes:
+    """Type confusion in transaction args is refused with a LedgerError and
+    leaves the state as it was."""
+
+    def _refused(self, state, payload):
+        before = state_hash(state)
+        with pytest.raises(SchemaViolation) as info:
+            execute_transaction(state, {**payload, "clockNow": NOW}, CLOCK)
+        assert state_hash(state) == before
+        return {v.code for v in info.value.violations}
+
+    @pytest.mark.parametrize(
+        "field, value, code",
+        [
+            ("description", 12345, "BAD_DESCRIPTION_TYPE"),
+            ("product", {"a": 1}, "BAD_PRODUCT_TYPE"),
+            ("product", ["widget"], "BAD_PRODUCT_TYPE"),
+        ],
+    )
+    def test_submit_refuses_non_string_content(self, ca, field, value, code):
+        from cveledger.records import record_to_dict
+
+        state = make_state(ca)
+        record = {**record_to_dict(make_record()), field: value}
+        payload = {"op": "SubmitCVE", "args": {"record": record}, "caller": CNA}
+        assert code in self._refused(state, payload)
+        assert state.cve_registry == {}
+
+    def test_revoke_refuses_non_string_cna_id(self, ca):
+        state = make_state(ca)
+        payload = {"op": "RevokeCNA", "args": {"cnaID": ["x"]}, "caller": GOV}
+        assert self._refused(state, payload) == {"BAD_ARGS"}
+        assert CNA in state.authorized_cnas
