@@ -1,14 +1,17 @@
 """Deterministic transaction execution against the world state.
 
-Handlers validate every guard before the first mutation, so a raised
-`LedgerError` always leaves the state untouched; `check_only=True` runs the
-guards and stops at the guard/mutation boundary (endorsement-time
-simulation). Execution never reads the wall clock: `ChainClock` carries the
-ordering service's per-block timestamp.
+`WorldState` is the only code that writes world state: op functions check
+every guard, then change the state through its write methods, so a raised
+`LedgerError` leaves the state untouched. A dry run (the endorsement-time
+simulation that `execute_transaction` runs for a peer) runs the same op
+function and ends at its first write method, which raises before it
+changes anything: reaching a write means every guard passed. Execution
+never reads the wall clock: `ChainClock` carries the ordering service's
+per-block timestamp.
 
 Embargoed submissions keep their description/product/version out of every
 public view until release. The plaintext (plus a salt) rides in the
-transaction as an envelope; handlers store it in the registry and the query
+transaction as an envelope; op functions store it in the registry and the query
 layer withholds it, exposing only a salted commitment hash that binds the
 submitter to the content revealed later.
 """
@@ -89,19 +92,27 @@ class Event:
         }
 
 
+class _DryRunStop(Exception):
+    """Raised by the first write of a dry run: every guard has passed."""
+
+
 class WorldState:
     """Materialized view obtained by replaying the ledger.
 
-    Mutable, but only op handlers touch it, and only after their guards
-    pass. Holds the CVE registry, the authorized-CNA set, governance
-    membership, id counters, and the append-only event log.
+    Holds the CVE registry, the authorized-CNA set, governance membership,
+    id counters, and the append-only event log. Only its own methods write
+    it, and each write method first checks the dry-run mode that
+    `execute_transaction` sets for endorsement: in a dry run it
+    raises `_DryRunStop` before changing anything, so a dry run cannot
+    mutate the state whatever the op function does.
 
     `_embargo_heap` is a derived index, not part of `to_dict()`: a min-heap
     of `(embargo_until, year, sequence)`, one entry per draft ever stored.
-    `submit_cve` is the only place a DRAFT comes into being (no entry of
+    A record is stored as a DRAFT only when it is submitted (no entry of
     `LEGAL_TRANSITIONS` leads into DRAFT and split creates only PUBLISHED
-    records), so pushing there covers every draft. Entries go stale when
-    a draft is rejected or released early; the sweep drops them lazily.
+    records), so `store` pushes exactly once per draft. Entries go stale
+    when a draft is rejected or released early; the sweep drops them
+    lazily.
     """
 
     def __init__(self) -> None:
@@ -119,6 +130,7 @@ class WorldState:
         self._height: int = 0
         self._event_seq: int = 0
         self._embargo_heap: list[tuple[int, int, int]] = []
+        self._dry_run = False
 
     def begin_block(self, height: int, block_time: int) -> None:
         self._height = height
@@ -143,6 +155,65 @@ class WorldState:
         self.failed_txs.append(
             {"height": height, "txIndex": tx_index, "txId": tx_id, "code": code}
         )
+
+    # -- write methods: the first one a dry run reaches ends it ---------------
+
+    def _write(self) -> None:
+        if self._dry_run:
+            raise _DryRunStop
+
+    def store(self, records: list[CveRecord], kind: str, subject: str, payload: dict) -> Event:
+        """Put records into the registry under their ids and emit one event.
+        Keeps each year's id counter at least at its highest stored
+        sequence, and pushes every stored DRAFT onto the embargo heap."""
+        self._write()
+        for record in records:
+            cid = record.cve_id
+            self.cve_registry[cid] = record
+            self.id_counters[cid.year] = max(self.id_counters.get(cid.year, 0), cid.sequence)
+            if record.status is CveStatus.DRAFT:
+                heapq.heappush(self._embargo_heap, (record.embargo_until, cid.year, cid.sequence))
+        return self._emit(kind, subject, payload)
+
+    def update(self, record: CveRecord, kind: str, payload: dict, **changes) -> Event:
+        """`store` of `record` with `changes` applied; the event's subject
+        is the record's id."""
+        self._write()
+        return self.store([record.with_(**changes)], kind, str(record.cve_id), payload)
+
+    def allocate_id(self, year: int) -> CveId:
+        """The next sequence of `year`. Allocated ids are never reused,
+        even when the record is later rejected."""
+        self._write()
+        self.id_counters[year] = self.id_counters.get(year, 0) + 1
+        return CveId(year=year, sequence=self.id_counters[year])
+
+    def pop_due_embargoes(self, now: int) -> list[tuple[int, int, int]]:
+        """Pop every embargo heap entry due at `now` (embargo_until <= now)."""
+        self._write()
+        heap = self._embargo_heap
+        due = []
+        while heap and heap[0][0] <= now:
+            due.append(heapq.heappop(heap))
+        return due
+
+    def authorize_cna(self, cna_id: str, cert_hash: str, certificate: Certificate) -> Event:
+        self._write()
+        self.authorized_cnas[cna_id] = cert_hash
+        self.certificates[cna_id] = certificate
+        return self._emit("CNAOnboarded", cna_id, {"cnaID": cna_id, "certHash": cert_hash})
+
+    def remove_cna(self, cna_id: str) -> Event:
+        self._write()
+        del self.authorized_cnas[cna_id]
+        return self._emit("CNARevoked", cna_id, {"cnaID": cna_id})
+
+    def bootstrap(self, ca_public_key: str, governance: dict[str, Certificate]) -> None:
+        """Genesis: the CA key and the bootstrap governance members."""
+        self._write()
+        self.ca_public_key = ca_public_key
+        self.governance_members = set(governance)
+        self.certificates.update(governance)
 
     def to_dict(self) -> dict:
         """Canonical snapshot (internal form: committed drafts keep their
@@ -196,14 +267,8 @@ def _require_governance(state: WorldState, caller: str) -> None:
 
 
 def submit_cve(
-    state: WorldState,
-    record: CveRecord,
-    caller: str,
-    clock: ChainClock,
-    *,
-    salt: str | None = None,
-    check_only: bool = False,
-) -> tuple[WorldState, Event | None]:
+    state: WorldState, record: CveRecord, caller: str, clock: ChainClock, *, salt: str | None = None
+) -> tuple[WorldState, Event]:
     """Register a new CVE. Embargoed submissions land as DRAFT, everything
     else publishes immediately (embargoUntil > now decides)."""
     if caller not in state.authorized_cnas:
@@ -227,28 +292,14 @@ def submit_cve(
     if violations:
         raise SchemaViolation(violations)
 
-    if check_only:
-        return state, None
-    state.cve_registry[stored.cve_id] = stored
-    year = stored.cve_id.year
-    state.id_counters[year] = max(state.id_counters.get(year, 0), stored.cve_id.sequence)
-    if embargoed:
-        heapq.heappush(state._embargo_heap, (stored.embargo_until, year, stored.cve_id.sequence))
-    event = state._emit(
-        "CVESubmitted", str(stored.cve_id), {"cveID": str(stored.cve_id), "status": stored.status.value}
-    )
+    cve_id = str(stored.cve_id)
+    event = state.store([stored], "CVESubmitted", cve_id, {"cveID": cve_id, "status": stored.status.value})
     return state, event
 
 
 def update_cve_status(
-    state: WorldState,
-    cve_id: CveId,
-    new_status: CveStatus,
-    caller: str,
-    clock: ChainClock,
-    *,
-    check_only: bool = False,
-) -> tuple[WorldState, Event | None]:
+    state: WorldState, cve_id: CveId, new_status: CveStatus, caller: str, clock: ChainClock
+) -> tuple[WorldState, Event]:
     """Move a record along the lifecycle. The submitter may do this per the
     contract; governance may override (third-party corrections)."""
     record = _require_record(state, cve_id)
@@ -271,21 +322,16 @@ def update_cve_status(
         # public from this block on
         changes["embargo_until"] = clock.now
 
-    if check_only:
-        return state, None
-    old = record.status
-    state.cve_registry[cve_id] = record.with_(**changes)
-    event = state._emit(
+    event = state.update(
+        record,
         "CVEStatusChanged",
-        str(cve_id),
-        {"cveID": str(cve_id), "from": old.value, "to": new_status.value},
+        {"cveID": str(cve_id), "from": record.status.value, "to": new_status.value},
+        **changes,
     )
     return state, event
 
 
-def check_embargo_releases(
-    state: WorldState, clock: ChainClock, *, check_only: bool = False
-) -> tuple[WorldState, list[Event]]:
+def check_embargo_releases(state: WorldState, clock: ChainClock) -> tuple[WorldState, list[Event]]:
     """Publish every draft whose embargo has passed (boundary inclusive:
     embargoUntil == now releases). Ascending id order; idempotent.
 
@@ -293,36 +339,31 @@ def check_embargo_releases(
     registry. A popped entry counts only while the registry still holds
     that id as a DRAFT with the same embargo; entries of drafts rejected
     or released early are dropped here. Correct only because no status
-    transition leads back into DRAFT. The dry run has no guard to check,
-    so `check_only=True` returns before touching the heap.
+    transition leads back into DRAFT. The sweep has no guard, so a dry run
+    ends at the pop, before any work.
     """
-    if check_only:
-        return state, []
-    heap = state._embargo_heap
     due = []
-    while heap and heap[0][0] <= clock.now:
-        until, year, sequence = heapq.heappop(heap)
+    for until, year, sequence in state.pop_due_embargoes(clock.now):
         cid = CveId(year=year, sequence=sequence)
         record = state.cve_registry.get(cid)
         if record is not None and record.status is CveStatus.DRAFT and record.embargo_until == until:
             due.append(cid)
-    events = []
-    for cid in sorted(due):
-        record = state.cve_registry[cid]
-        state.cve_registry[cid] = record.with_(status=CveStatus.PUBLISHED, updated_at=clock.now)
-        events.append(state._emit("EmbargoReleased", str(cid), {"cveID": str(cid)}))
+    events = [
+        state.update(
+            state.cve_registry[cid],
+            "EmbargoReleased",
+            {"cveID": str(cid)},
+            status=CveStatus.PUBLISHED,
+            updated_at=clock.now,
+        )
+        for cid in sorted(due)
+    ]
     return state, events
 
 
 def onboard_cna(
-    state: WorldState,
-    cna_id: str,
-    cert_hash: str,
-    caller: str,
-    *,
-    certificate: Certificate | None = None,
-    check_only: bool = False,
-) -> tuple[WorldState, Event | None]:
+    state: WorldState, cna_id: str, cert_hash: str, caller: str, *, certificate: Certificate | None = None
+) -> tuple[WorldState, Event]:
     """Governance admits a CNA by pinning its certificate fingerprint.
 
     The full certificate travels in the transaction so replay and audit can
@@ -347,67 +388,53 @@ def onboard_cna(
         bytes.fromhex(certificate.ca_signature),
     ):
         raise BadCertificate("CA signature does not verify")
-
-    if check_only:
-        return state, None
-    state.authorized_cnas[cna_id] = cert_hash
-    state.certificates[cna_id] = certificate
-    event = state._emit("CNAOnboarded", cna_id, {"cnaID": cna_id, "certHash": cert_hash})
-    return state, event
+    return state, state.authorize_cna(cna_id, cert_hash, certificate)
 
 
-def revoke_cna(
-    state: WorldState, cna_id: str, caller: str, *, check_only: bool = False
-) -> tuple[WorldState, Event | None]:
+def revoke_cna(state: WorldState, cna_id: str, caller: str) -> tuple[WorldState, Event]:
     """Remove a CNA from the authorized set. Records it already submitted
     stay in the registry untouched."""
     _require_governance(state, caller)
     if cna_id not in state.authorized_cnas:
         raise NotAuthorizedCna(f"{cna_id} is not an authorized CNA")
-    if check_only:
-        return state, None
-    del state.authorized_cnas[cna_id]
-    event = state._emit("CNARevoked", cna_id, {"cnaID": cna_id})
-    return state, event
+    return state, state.remove_cna(cna_id)
 
 
 def allocate_cve_id(state: WorldState, year: int) -> tuple[WorldState, CveId]:
-    """Hand out the next sequence for a year. Allocated ids are never
-    reused, even when the record is later rejected."""
+    """Hand out the next sequence for a year (see `WorldState.allocate_id`)."""
     if year < MIN_YEAR:
         raise YearOutOfRange(f"year {year} predates {MIN_YEAR}")
-    nxt = state.id_counters.get(year, 0) + 1
-    state.id_counters[year] = nxt
-    return state, CveId(year=year, sequence=nxt)
+    return state, state.allocate_id(year)
 
 
 # --- transaction dispatch ---------------------------------------------------
-
-Handler = Callable[[WorldState, dict, str, ChainClock, bool], list[Event]]
-
-HANDLERS: dict[str, Handler] = {}
-
-
-def register_op(name: str):
-    def wrap(fn: Handler) -> Handler:
-        HANDLERS[name] = fn
-        return fn
-
-    return wrap
 
 
 def _bad_args(message: str) -> SchemaViolation:
     return SchemaViolation([Violation("BAD_ARGS", "args", message)])
 
 
-@register_op(OP_GENESIS)
-def _handle_genesis(state, args, caller, clock, check_only):
-    if state.ca_public_key or state.governance_members:
-        raise _bad_args("genesis may only appear at height 0")
+def _typed(value, types, name: str):
+    """`value` if it is an instance of `types`; a decode error otherwise."""
+    if not isinstance(value, types):
+        raise TypeError(f"{name} may not be a {type(value).__name__}")
+    return value
+
+
+def _decode_genesis(args: dict) -> tuple:
+    # only checks that fail as BAD_ARGS, like the height-0 guard; parsing the
+    # certificates waits for that guard, so a late genesis stays BAD_ARGS
     ca_key = args.get("caPublicKey", "")
     if not is_hex_digest(ca_key, 64):
         raise _bad_args("genesis missing caPublicKey")
-    gov = {name: Certificate.from_dict(cert) for name, cert in args.get("governance", {}).items()}
+    return ca_key, list(args.get("governance", {}).items())
+
+
+def _run_genesis(state: WorldState, values: tuple, caller: str, clock: ChainClock) -> list[Event]:
+    if state.ca_public_key or state.governance_members:
+        raise _bad_args("genesis may only appear at height 0")
+    ca_key, governance = values
+    gov = {name: Certificate.from_dict(cert) for name, cert in governance}
     if not gov:
         raise _bad_args("genesis must name at least one governance member")
     for name, cert in gov.items():
@@ -415,73 +442,36 @@ def _handle_genesis(state, args, caller, clock, check_only):
             ca_key, cert.signing_bytes(), bytes.fromhex(cert.ca_signature)
         ):
             raise BadCertificate(f"bootstrap certificate for {name} does not verify")
-    if check_only:
-        return []
-    state.ca_public_key = ca_key
-    state.governance_members = set(gov)
-    state.certificates.update(gov)
+    state.bootstrap(ca_key, gov)
     return []
 
 
-@register_op(OP_SUBMIT)
-def _handle_submit(state, args, caller, clock, check_only):
-    try:
-        record = record_from_dict(args["record"])
-    except LedgerError:
-        raise
-    except Exception as exc:
-        raise _bad_args(f"bad record: {exc}")
-    _, event = submit_cve(
-        state, record, caller, clock, salt=args.get("salt"), check_only=check_only
-    )
-    return [] if event is None else [event]
-
-
-@register_op(OP_UPDATE_STATUS)
-def _handle_update_status(state, args, caller, clock, check_only):
-    try:
-        cve_id = parse_cve_id(args["cveID"])
-        new_status = CveStatus(args["newStatus"])
-    except LedgerError:
-        raise
-    except Exception as exc:
-        raise _bad_args(f"bad status update args: {exc}")
-    _, event = update_cve_status(state, cve_id, new_status, caller, clock, check_only=check_only)
-    return [] if event is None else [event]
-
-
-@register_op(OP_CHECK_EMBARGO)
-def _handle_check_embargo(state, args, caller, clock, check_only):
-    _, events = check_embargo_releases(state, clock, check_only=check_only)
-    return events
-
-
-@register_op(OP_ONBOARD)
-def _handle_onboard(state, args, caller, clock, check_only):
-    try:
-        cna_id = args["cnaID"]
-        cert_hash = args["certHash"]
-        certificate = Certificate.from_dict(args["certificate"])
-    except LedgerError:
-        raise
-    except Exception as exc:
-        raise _bad_args(f"bad onboarding args: {exc}")
-    _, event = onboard_cna(
-        state, cna_id, cert_hash, caller, certificate=certificate, check_only=check_only
-    )
-    return [] if event is None else [event]
-
-
-@register_op(OP_REVOKE)
-def _handle_revoke(state, args, caller, clock, check_only):
-    try:
-        cna_id = args["cnaID"]
-    except Exception as exc:
-        raise _bad_args(f"bad revocation args: {exc}")
-    if not isinstance(cna_id, str):
-        raise _bad_args(f"cnaID must be a string, not {type(cna_id).__name__}")
-    _, event = revoke_cna(state, cna_id, caller, check_only=check_only)
-    return [] if event is None else [event]
+# op name -> (decode(args) -> typed values, run(state, values, caller, clock) -> events).
+# `execute_transaction` turns anything but a LedgerError raised by decode into
+# BAD_ARGS; run calls the op function. corrections.py adds the correction ops.
+OPS: dict[str, tuple[Callable, Callable]] = {
+    OP_GENESIS: (_decode_genesis, _run_genesis),
+    OP_SUBMIT: (
+        lambda args: (record_from_dict(args["record"]), _typed(args.get("salt"), (str, type(None)), "salt")),
+        lambda state, v, caller, clock: [submit_cve(state, v[0], caller, clock, salt=v[1])[1]],
+    ),
+    OP_UPDATE_STATUS: (
+        lambda args: (parse_cve_id(args["cveID"]), CveStatus(args["newStatus"])),
+        lambda state, v, caller, clock: [update_cve_status(state, *v, caller, clock)[1]],
+    ),
+    OP_CHECK_EMBARGO: (
+        lambda args: (),
+        lambda state, v, caller, clock: check_embargo_releases(state, clock)[1],
+    ),
+    OP_ONBOARD: (
+        lambda args: (args["cnaID"], args["certHash"], Certificate.from_dict(args["certificate"])),
+        lambda state, v, caller, clock: [onboard_cna(state, v[0], v[1], caller, certificate=v[2])[1]],
+    ),
+    OP_REVOKE: (
+        lambda args: _typed(args["cnaID"], str, "cnaID"),
+        lambda state, cna_id, caller, clock: [revoke_cna(state, cna_id, caller)[1]],
+    ),
+}
 
 
 def execute_transaction(
@@ -489,14 +479,28 @@ def execute_transaction(
 ) -> list[Event]:
     """Dispatch one transaction payload {op, args, caller, clockNow}.
 
-    Raises a LedgerError (state untouched) on any guard failure.
+    Raises a LedgerError (state untouched) on any guard failure. With
+    `check_only=True` the op runs in dry-run mode: its first write ends
+    the run, and the result is [] because every guard passed.
     """
     op = payload.get("op")
-    handler = HANDLERS.get(op)
-    if handler is None:
+    entry = OPS.get(op)
+    if entry is None:
         raise UnknownOperation(f"unknown op {op!r}")
     args = payload.get("args")
     if not isinstance(args, dict):
         raise _bad_args("args must be an object")
-    caller = payload.get("caller", "")
-    return handler(state, args, caller, clock, check_only)
+    decode, run = entry
+    try:
+        values = decode(args)
+    except LedgerError:
+        raise
+    except Exception as exc:
+        raise _bad_args(f"bad {op} args: {exc}")
+    state._dry_run = check_only
+    try:
+        return run(state, values, payload.get("caller", ""), clock)
+    except _DryRunStop:
+        return []
+    finally:
+        state._dry_run = False

@@ -12,19 +12,18 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from .chaincode import (
+    OPS,
     ChainClock,
     Event,
     WorldState,
-    allocate_cve_id,
-    _require_record,
-    register_op,
     _bad_args,
+    _require_record,
+    _typed,
 )
 from .errors import (
     DuplicateCandidates,
     IdenticalCoverage,
     IllegalTransition,
-    LedgerError,
     NoOverlap,
     NotSubmitter,
     TooFewCandidates,
@@ -178,14 +177,8 @@ def _sorted_refs(*groups) -> tuple[str, ...]:
 
 
 def reject_cve(
-    state: WorldState,
-    cve_id: CveId,
-    reason: str,
-    caller: str,
-    clock: ChainClock,
-    *,
-    check_only: bool = False,
-) -> tuple[WorldState, Event | None]:
+    state: WorldState, cve_id: CveId, reason: str, caller: str, clock: ChainClock
+) -> tuple[WorldState, Event]:
     """Mark a record REJECTED with an explanation. The record stays visible
     in queries, annotated so nobody reuses it by mistake."""
     record = _require_record(state, cve_id)
@@ -194,27 +187,20 @@ def reject_cve(
         raise IllegalTransition(f"cannot reject a {record.status.value} record")
     if not reason or not isinstance(reason, str):
         raise _bad_args("rejection requires a non-empty reason")
-    if check_only:
-        return state, None
-    state.cve_registry[cve_id] = record.with_(
+    event = state.update(
+        record,
+        "CVERejected",
+        {"cveID": str(cve_id)},
         status=CveStatus.REJECTED,
         annotations=record.annotations + (Annotation("REJECTION_REASON", reason),),
         updated_at=clock.now,
     )
-    event = state._emit("CVERejected", str(cve_id), {"cveID": str(cve_id)})
     return state, event
 
 
 def dispute_cve(
-    state: WorldState,
-    cve_id: CveId,
-    note: str,
-    external_ref: str | None,
-    caller: str,
-    clock: ChainClock,
-    *,
-    check_only: bool = False,
-) -> tuple[WorldState, Event | None]:
+    state: WorldState, cve_id: CveId, note: str, external_ref: str | None, caller: str, clock: ChainClock
+) -> tuple[WorldState, Event]:
     """Flag contested validity: prefix the description once and append a
     note explaining the nature of the dispute."""
     record = _require_record(state, cve_id)
@@ -223,25 +209,20 @@ def dispute_cve(
         raise IllegalTransition(f"cannot dispute a {record.status.value} record")
     if not note or not isinstance(note, str):
         raise _bad_args("dispute requires a non-empty note")
-    if check_only:
-        return state, None
-    state.cve_registry[cve_id] = record.with_(
+    event = state.update(
+        record,
+        "CVEDisputed",
+        {"cveID": str(cve_id)},
         status=CveStatus.DISPUTED,
         description=DISPUTED_PREFIX + record.description,
         annotations=record.annotations + (Annotation("DISPUTE_NOTE", note, ref=external_ref),),
         updated_at=clock.now,
     )
-    event = state._emit("CVEDisputed", str(cve_id), {"cveID": str(cve_id)})
     return state, event
 
 
 def merge_cves(
-    state: WorldState,
-    candidates: list[MergeCandidate],
-    caller: str,
-    clock: ChainClock,
-    *,
-    check_only: bool = False,
+    state: WorldState, candidates: list[MergeCandidate], caller: str, clock: ChainClock
 ) -> tuple[WorldState, list[Event]]:
     """Consolidate duplicate ids onto the canonical one. Losers turn
     REJECTED with a pointer to the keeper; the keeper collects references
@@ -252,25 +233,29 @@ def merge_cves(
     for record in records:
         if record.status not in _CORRECTABLE:
             raise IllegalTransition(f"cannot merge a {record.status.value} record ({record.cve_id})")
-    if check_only:
-        return state, []
 
     merged_ids = [c.cve_id for c in candidates if c.cve_id != canonical]
+    changed = []
     for cid in merged_ids:
         record = state.cve_registry[cid]
-        state.cve_registry[cid] = record.with_(
-            status=CveStatus.REJECTED,
-            annotations=record.annotations
-            + (Annotation("MERGE_POINTER", f"merged into {canonical}", ref=str(canonical)),),
-            references=_sorted_refs(record.references, [str(canonical)]),
-            updated_at=clock.now,
+        changed.append(
+            record.with_(
+                status=CveStatus.REJECTED,
+                annotations=record.annotations
+                + (Annotation("MERGE_POINTER", f"merged into {canonical}", ref=str(canonical)),),
+                references=_sorted_refs(record.references, [str(canonical)]),
+                updated_at=clock.now,
+            )
         )
     keeper = state.cve_registry[canonical]
-    state.cve_registry[canonical] = keeper.with_(
-        references=_sorted_refs(keeper.references, (str(c) for c in merged_ids)),
-        updated_at=clock.now,
+    changed.append(
+        keeper.with_(
+            references=_sorted_refs(keeper.references, (str(c) for c in merged_ids)),
+            updated_at=clock.now,
+        )
     )
-    event = state._emit(
+    event = state.store(
+        changed,
         "CVEMerged",
         str(canonical),
         {"canonical": str(canonical), "merged": [str(c) for c in sorted(merged_ids)]},
@@ -279,13 +264,7 @@ def merge_cves(
 
 
 def split_cve(
-    state: WorldState,
-    original_id: CveId,
-    candidates: list[SplitCandidate],
-    caller: str,
-    clock: ChainClock,
-    *,
-    check_only: bool = False,
+    state: WorldState, original_id: CveId, candidates: list[SplitCandidate], caller: str, clock: ChainClock
 ) -> tuple[WorldState, list[Event]]:
     """One id per vulnerability: the most prominent keeps the original id,
     the rest get fresh ids from the original's year, and every resulting
@@ -295,45 +274,45 @@ def split_cve(
     if record.status is not CveStatus.PUBLISHED:
         raise IllegalTransition(f"cannot split a {record.status.value} record")
     prominent = select_prominent(candidates)
-    if check_only:
-        return state, []
 
     rest = sorted(
         (c for c in candidates if c is not prominent), key=lambda c: c.mention_order
     )
-    new_ids: list[CveId] = []
-    for _ in rest:
-        _, nid = allocate_cve_id(state, original_id.year)
-        new_ids.append(nid)
+    new_ids = [state.allocate_id(original_id.year) for _ in rest]
     all_ids = [original_id] + new_ids
 
     def cross_refs(own: CveId) -> tuple[str, ...]:
         return tuple(sorted(str(i) for i in all_ids if i != own))
 
-    state.cve_registry[original_id] = record.with_(
-        description=prominent.descriptor,
-        severity=prominent.severity,
-        references=_sorted_refs(record.references, cross_refs(original_id)),
-        annotations=record.annotations
-        + (Annotation("SPLIT_ORIGIN", f"split into {len(all_ids)} records"),),
-        updated_at=clock.now,
-    )
-    for nid, cand in zip(new_ids, rest):
-        state.cve_registry[nid] = CveRecord(
-            cve_id=nid,
-            description=cand.descriptor,
-            product=record.product,
-            version=record.version,
-            severity=cand.severity,
-            status=CveStatus.PUBLISHED,
-            submitter=record.submitter,
-            embargo_until=None,
-            references=cross_refs(nid),
-            annotations=(Annotation("SPLIT_ORIGIN", f"split from {original_id}", ref=str(original_id)),),
-            created_at=clock.now,
+    changed = [
+        record.with_(
+            description=prominent.descriptor,
+            severity=prominent.severity,
+            references=_sorted_refs(record.references, cross_refs(original_id)),
+            annotations=record.annotations
+            + (Annotation("SPLIT_ORIGIN", f"split into {len(all_ids)} records"),),
             updated_at=clock.now,
         )
-    event = state._emit(
+    ]
+    for nid, cand in zip(new_ids, rest):
+        changed.append(
+            CveRecord(
+                cve_id=nid,
+                description=cand.descriptor,
+                product=record.product,
+                version=record.version,
+                severity=cand.severity,
+                status=CveStatus.PUBLISHED,
+                submitter=record.submitter,
+                embargo_until=None,
+                references=cross_refs(nid),
+                annotations=(Annotation("SPLIT_ORIGIN", f"split from {original_id}", ref=str(original_id)),),
+                created_at=clock.now,
+                updated_at=clock.now,
+            )
+        )
+    event = state.store(
+        changed,
         "CVESplit",
         str(original_id),
         {"originalID": str(original_id), "newIDs": [str(i) for i in new_ids]},
@@ -342,14 +321,8 @@ def split_cve(
 
 
 def resolve_partial_duplicate(
-    state: WorldState,
-    keep_id: CveId,
-    revise_id: CveId,
-    caller: str,
-    clock: ChainClock,
-    *,
-    check_only: bool = False,
-) -> tuple[WorldState, Event | None]:
+    state: WorldState, keep_id: CveId, revise_id: CveId, caller: str, clock: ChainClock
+) -> tuple[WorldState, Event]:
     """Trim the revised record down to the versions the kept record does
     not cover; fully contained coverage escalates to merge semantics."""
     keep = _require_record(state, keep_id)
@@ -367,13 +340,11 @@ def resolve_partial_duplicate(
     if coverage_equal(keep.version, revise.version):
         raise IdenticalCoverage("identical coverage must go through a merge")
     remaining = subtract(revise.version, keep.version)
-    if check_only:
-        return state, None
 
     note = Annotation("PARTIAL_DUP_NOTE", f"overlaps {keep_id}", ref=str(keep_id))
     escalated = not remaining
     if escalated:
-        state.cve_registry[revise_id] = revise.with_(
+        revised = revise.with_(
             status=CveStatus.REJECTED,
             annotations=revise.annotations
             + (note, Annotation("MERGE_POINTER", f"merged into {keep_id}", ref=str(keep_id))),
@@ -381,19 +352,20 @@ def resolve_partial_duplicate(
             updated_at=clock.now,
         )
     else:
-        state.cve_registry[revise_id] = revise.with_(
+        revised = revise.with_(
             version=tuple(remaining),
             annotations=revise.annotations + (note,),
             references=_sorted_refs(revise.references, [str(keep_id)]),
             updated_at=clock.now,
         )
-    state.cve_registry[keep_id] = keep.with_(
+    kept = keep.with_(
         annotations=keep.annotations
         + (Annotation("PARTIAL_DUP_NOTE", f"overlaps {revise_id}", ref=str(revise_id)),),
         references=_sorted_refs(keep.references, [str(revise_id)]),
         updated_at=clock.now,
     )
-    event = state._emit(
+    event = state.store(
+        [revised, kept],
         "PartialDupResolved",
         str(keep_id),
         {"keep": str(keep_id), "revise": str(revise_id), "escalated": escalated},
@@ -401,71 +373,34 @@ def resolve_partial_duplicate(
     return state, event
 
 
-# --- transaction handlers ---------------------------------------------------
-
-
-@register_op(OP_REJECT)
-def _handle_reject(state, args, caller, clock, check_only):
-    try:
-        cve_id = parse_cve_id(args["cveID"])
-        reason = args["reason"]
-    except LedgerError:
-        raise
-    except Exception as exc:
-        raise _bad_args(f"bad rejection args: {exc}")
-    _, event = reject_cve(state, cve_id, reason, caller, clock, check_only=check_only)
-    return [] if event is None else [event]
-
-
-@register_op(OP_DISPUTE)
-def _handle_dispute(state, args, caller, clock, check_only):
-    try:
-        cve_id = parse_cve_id(args["cveID"])
-        note = args["note"]
-        external_ref = args.get("externalRef")
-    except LedgerError:
-        raise
-    except Exception as exc:
-        raise _bad_args(f"bad dispute args: {exc}")
-    _, event = dispute_cve(state, cve_id, note, external_ref, caller, clock, check_only=check_only)
-    return [] if event is None else [event]
-
-
-@register_op(OP_MERGE)
-def _handle_merge(state, args, caller, clock, check_only):
-    try:
-        candidates = [MergeCandidate.from_dict(c) for c in args["candidates"]]
-    except LedgerError:
-        raise
-    except Exception as exc:
-        raise _bad_args(f"bad merge args: {exc}")
-    _, events = merge_cves(state, candidates, caller, clock, check_only=check_only)
-    return events
-
-
-@register_op(OP_SPLIT)
-def _handle_split(state, args, caller, clock, check_only):
-    try:
-        original = parse_cve_id(args["cveID"])
-        candidates = [SplitCandidate.from_dict(c) for c in args["candidates"]]
-    except LedgerError:
-        raise
-    except Exception as exc:
-        raise _bad_args(f"bad split args: {exc}")
-    _, events = split_cve(state, original, candidates, caller, clock, check_only=check_only)
-    return events
-
-
-@register_op(OP_PARTIAL_DUP)
-def _handle_partial_dup(state, args, caller, clock, check_only):
-    try:
-        keep_id = parse_cve_id(args["keepID"])
-        revise_id = parse_cve_id(args["reviseID"])
-    except LedgerError:
-        raise
-    except Exception as exc:
-        raise _bad_args(f"bad partial duplicate args: {exc}")
-    _, event = resolve_partial_duplicate(
-        state, keep_id, revise_id, caller, clock, check_only=check_only
-    )
-    return [] if event is None else [event]
+OPS.update(
+    {
+        OP_REJECT: (
+            lambda args: (parse_cve_id(args["cveID"]), args["reason"]),
+            lambda state, v, caller, clock: [reject_cve(state, *v, caller, clock)[1]],
+        ),
+        OP_DISPUTE: (
+            lambda args: (
+                parse_cve_id(args["cveID"]),
+                args["note"],
+                _typed(args.get("externalRef"), (str, type(None)), "externalRef"),
+            ),
+            lambda state, v, caller, clock: [dispute_cve(state, *v, caller, clock)[1]],
+        ),
+        OP_MERGE: (
+            lambda args: [MergeCandidate.from_dict(c) for c in args["candidates"]],
+            lambda state, candidates, caller, clock: merge_cves(state, candidates, caller, clock)[1],
+        ),
+        OP_SPLIT: (
+            lambda args: (
+                parse_cve_id(args["cveID"]),
+                [SplitCandidate.from_dict(c) for c in args["candidates"]],
+            ),
+            lambda state, v, caller, clock: split_cve(state, *v, caller, clock)[1],
+        ),
+        OP_PARTIAL_DUP: (
+            lambda args: (parse_cve_id(args["keepID"]), parse_cve_id(args["reviseID"])),
+            lambda state, v, caller, clock: [resolve_partial_duplicate(state, *v, caller, clock)[1]],
+        ),
+    }
+)

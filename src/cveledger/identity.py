@@ -25,7 +25,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .canonical import is_hex_digest, sha256_hex, to_canonical_json
+from .canonical import is_hex_digest, sha256_hex, to_canonical_json  # noqa: F401  (perfbench patches it here)
 from .errors import DuplicateSubject, InvalidParticipantId, MalformedKey
 
 _PARTICIPANT_RE = re.compile(r"[a-z0-9]+(\.[a-z0-9-]+)+")
@@ -151,9 +151,6 @@ class Certificate:
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedKey(f"bad certificate object: {exc}")
         return cert
-
-    def to_json_line(self) -> str:
-        return to_canonical_json(self.to_dict())
 
 
 @dataclass(frozen=True)

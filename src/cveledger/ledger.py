@@ -28,7 +28,7 @@ from .chaincode import (
 from .errors import ClockRegression, LedgerError, PolicyUnsatisfied
 from .identity import Certificate, KeyPair, sign_payload, verify_payload
 from .records import CveRecord, CveStatus
-from . import corrections  # noqa: F401  (registers correction op handlers)
+from . import corrections  # noqa: F401  (adds the correction ops to chaincode.OPS)
 
 HASH_MISMATCH = "HASH_MISMATCH"
 SIGNATURE_INVALID = "SIGNATURE_INVALID"

@@ -188,9 +188,6 @@ class SimulatedNetwork:
         self.pending: list[tuple[int, Transaction]] = []
         self._arrival_seq = 0
         self._cert_check_cache: dict = {}
-        self.submit_tick: dict[str, int] = {}
-        self.commit_tick: dict[str, int] = {}
-        self._tick_count = 0
 
     @classmethod
     def from_materials(
@@ -231,9 +228,6 @@ class SimulatedNetwork:
         net.pending = []
         net._arrival_seq = 0
         net._cert_check_cache = {}
-        net.submit_tick = {}
-        net.commit_tick = {}
-        net._tick_count = 0
         return net
 
     # -- identities ---------------------------------------------------------
@@ -282,7 +276,6 @@ class SimulatedNetwork:
             return SubmitResult(tx=endorsed, accepted=False, refusals=refusals)
         self.pending.append((self._arrival_seq, endorsed))
         self._arrival_seq += 1
-        self.submit_tick[endorsed.tx_id] = self._tick_count
         return SubmitResult(tx=endorsed, accepted=True, refusals=refusals)
 
     def invoke(self, op: str, args: dict, caller: str) -> SubmitResult:
@@ -309,10 +302,7 @@ class SimulatedNetwork:
             block = self.chain[-1]
             for peer in self.peers:
                 peer.commit_block(block)
-            for tx in batch:
-                self.commit_tick[tx.tx_id] = self._tick_count
             cut.append(block)
-        self._tick_count += 1
         return cut
 
     def state_hashes(self) -> dict[str, str]:
@@ -344,6 +334,13 @@ def drive_scenario(script: dict | list) -> tuple[SimulatedNetwork, list[dict], l
 
     A bare JSON list of {atTick, action, args} is accepted as shorthand for
     {"actions": [...]} with default network settings."""
+    net, action_log, block_log, _ = _drive(script)
+    return net, action_log, block_log
+
+
+def _drive(script: dict | list) -> tuple[SimulatedNetwork, list[dict], list[dict], list[int]]:
+    """`drive_scenario`, plus the commit latency in ticks of each committed
+    transaction id, sorted."""
     if isinstance(script, list):
         script = {"actions": script}
     seed = bytes.fromhex(script["seed"]) if "seed" in script else b"cveledger-scenario"
@@ -364,6 +361,9 @@ def drive_scenario(script: dict | list) -> tuple[SimulatedNetwork, list[dict], l
 
     action_log: list[dict] = []
     block_log: list[dict] = []
+    # tick of the last acceptance and of the last commit, per tx id
+    submit_tick: dict[str, int] = {}
+    commit_tick: dict[str, int] = {}
     salt_counter = 0
 
     def perform(entry: dict) -> dict:
@@ -417,8 +417,13 @@ def drive_scenario(script: dict | list) -> tuple[SimulatedNetwork, list[dict], l
         net.advance_clock(now)
         for entry in actions:
             if int(entry.get("atTick", 0)) == tick_no:
-                action_log.append(perform(entry))
+                out = perform(entry)
+                action_log.append(out)
+                if out["ok"]:
+                    submit_tick[out["txId"]] = tick_no
         for block in net.tick(now):
+            for tx in block.txs:
+                commit_tick[tx.tx_id] = tick_no
             hashes = net.state_hashes()
             block_log.append(
                 {
@@ -430,7 +435,8 @@ def drive_scenario(script: dict | list) -> tuple[SimulatedNetwork, list[dict], l
                     "consistent": len(set(hashes.values())) == 1,
                 }
             )
-    return net, action_log, block_log
+    latencies = sorted(commit_tick[tid] - submit_tick[tid] for tid in commit_tick)
+    return net, action_log, block_log, latencies
 
 
 def run_scenario(script: dict | list) -> dict:
@@ -440,11 +446,7 @@ def run_scenario(script: dict | list) -> dict:
     if isinstance(script, list):
         script = {"actions": script}
     genesis_time = int(script.get("genesisTime", 0))
-    net, action_log, block_log = drive_scenario(script)
-
-    committed = sorted(
-        net.commit_tick[tid] - net.submit_tick[tid] for tid in net.commit_tick
-    )
+    net, action_log, block_log, committed = _drive(script)
 
     def pct(p: float) -> int:
         if not committed:
@@ -460,11 +462,11 @@ def run_scenario(script: dict | list) -> dict:
         "failedTxs": list(reference.failed_txs),
         "finalStateHash": state_hash(reference),
         "stats": {
-            "committedTxs": len(net.commit_tick),
+            "committedTxs": len(committed),
             "pendingTxs": len(net.pending),
             "simulatedSeconds": simulated,
             "txPerSimulatedSecond": (
-                round(len(net.commit_tick) / simulated, 6) if simulated else 0.0
+                round(len(committed) / simulated, 6) if simulated else 0.0
             ),
             "latencyTicks": {"p50": pct(0.50), "p95": pct(0.95), "max": committed[-1] if committed else 0},
         },

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import errors
 from .canonical import to_canonical_json
-from .chaincode import OP_CHECK_EMBARGO, OP_ONBOARD, OP_REVOKE, OP_SUBMIT
+from .chaincode import OP_CHECK_EMBARGO, OP_ONBOARD, OP_REVOKE, OP_SUBMIT, OP_UPDATE_STATUS
 from .corrections import OP_DISPUTE, OP_MERGE, OP_PARTIAL_DUP, OP_REJECT, OP_SPLIT
 from .errors import LedgerError
 from .identity import (
@@ -313,7 +313,7 @@ class Node:
 
     def update_status(self, cve_id: str, new_status: str, caller: str | None = None) -> dict:
         return self._commit(
-            "UpdateCVEStatus",
+            OP_UPDATE_STATUS,
             {"cveID": cve_id, "newStatus": new_status},
             caller or self.config.governance_id,
         )

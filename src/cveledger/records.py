@@ -144,7 +144,10 @@ class Annotation:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Annotation":
-        return cls(tag=obj["tag"], text=obj["text"], ref=obj.get("ref"))
+        text, ref = obj["text"], obj.get("ref")
+        if not isinstance(text, str) or not (ref is None or isinstance(ref, str)):
+            raise TypeError("annotation text must be a string and ref a string or null")
+        return cls(tag=obj["tag"], text=text, ref=ref)
 
 
 @dataclass(frozen=True)
@@ -192,6 +195,8 @@ def record_to_dict(record: CveRecord, *, internal: bool = False) -> dict:
 
 def record_from_dict(obj: dict) -> CveRecord:
     embargo = obj.get("embargoUntil")
+    if embargo is not None and (not isinstance(embargo, int) or isinstance(embargo, bool)):
+        raise TypeError(f"embargoUntil must be an integer, not {type(embargo).__name__}")
     return CveRecord(
         cve_id=parse_cve_id(obj["cveID"]),
         description=obj.get("description", ""),
@@ -200,7 +205,7 @@ def record_from_dict(obj: dict) -> CveRecord:
         severity=Severity.from_dict(obj.get("severity", {"label": "NONE", "cvssScore": None})),
         status=CveStatus(obj.get("status", "PUBLISHED")),
         submitter=obj.get("submitterCNA", ""),
-        embargo_until=None if embargo is None else int(embargo),
+        embargo_until=embargo,
         references=tuple(obj.get("references", ())),
         annotations=tuple(Annotation.from_dict(a) for a in obj.get("annotations", ())),
         created_at=int(obj.get("createdAt", 0)),

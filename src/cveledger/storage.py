@@ -28,7 +28,6 @@ from .ledger import (
     TrustAnchors,
     _VerifyContext,
     _verify_block,
-    verify_chain,
 )
 
 logger = logging.getLogger(__name__)
@@ -184,7 +183,7 @@ class ChainAuditor:
             except Exception:
                 return HASH_MISMATCH, {}, None, None, None
             trust = genesis_trust
-            ctx = _ctx_with_ca(ctx, trust.ca_public_key)
+            ctx.ca_public_key = trust.ca_public_key
         reason, exported = _verify_block(block, ctx, trust)
         return reason, exported, block.block_hash, block.block_time, genesis_trust
 
@@ -192,18 +191,9 @@ class ChainAuditor:
         return self.audit_bytes(Path(path).read_bytes())
 
 
-def _ctx_with_ca(ctx: _VerifyContext, ca_public_key: str) -> _VerifyContext:
-    ctx.ca_public_key = ca_public_key
-    return ctx
-
-
 def audit_file(path: Path, trust: TrustAnchors | None = None) -> AuditReport:
     """One-shot strict audit of a ledger file."""
     return ChainAuditor(trust).audit_file(path)
-
-
-def verify_chain_blocks(chain: list[Block], trust: TrustAnchors | None = None) -> AuditReport:
-    return verify_chain(chain, trust)
 
 
 class DataDirLock:

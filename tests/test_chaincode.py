@@ -102,10 +102,13 @@ class TestSubmit:
         assert state.id_counters[2025] == 7
 
     def test_check_only_mutates_nothing(self, ca):
+        from cveledger.records import record_to_dict
+
         state = make_state(ca)
         before = state_hash(state)
-        _, event = submit_cve(state, make_record(), CNA, CLOCK, check_only=True)
-        assert event is None
+        payload = {"op": "SubmitCVE", "args": {"record": record_to_dict(make_record())}, "caller": CNA}
+        events = execute_transaction(state, {**payload, "clockNow": NOW}, CLOCK, check_only=True)
+        assert events == []
         assert state_hash(state) == before
 
 
@@ -414,3 +417,30 @@ class TestArgTypes:
         payload = {"op": "RevokeCNA", "args": {"cnaID": ["x"]}, "caller": GOV}
         assert self._refused(state, payload) == {"BAD_ARGS"}
         assert CNA in state.authorized_cnas
+
+    @pytest.mark.parametrize(
+        "record_fields, salt",
+        [
+            ({"embargoUntil": NOW + 60}, {"a": 1}),
+            ({"embargoUntil": True}, None),
+            ({"embargoUntil": 150.9}, None),
+            ({"annotations": [{"tag": "REJECTION_REASON", "text": 5}]}, None),
+            ({"annotations": [{"tag": "DISPUTE_NOTE", "text": "note", "ref": ["x"]}]}, None),
+        ],
+    )
+    def test_submit_refuses_mistyped_args(self, ca, record_fields, salt):
+        from cveledger.records import record_to_dict
+
+        state = make_state(ca)
+        args = {"record": {**record_to_dict(make_record()), **record_fields}}
+        if salt is not None:
+            args["salt"] = salt
+        assert self._refused(state, {"op": "SubmitCVE", "args": args, "caller": CNA}) == {"BAD_ARGS"}
+        assert state.cve_registry == {}
+
+    def test_dispute_refuses_non_string_external_ref(self, ca):
+        state = make_state(ca)
+        submit_cve(state, make_record(), CNA, CLOCK)
+        args = {"cveID": "CVE-2025-0001", "note": "contested", "externalRef": {"x": [1]}}
+        assert self._refused(state, {"op": "DisputeCVE", "args": args, "caller": CNA}) == {"BAD_ARGS"}
+        assert state.cve_registry[parse_cve_id("CVE-2025-0001")].status is CveStatus.PUBLISHED

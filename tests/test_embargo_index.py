@@ -11,7 +11,13 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cveledger.chaincode import ChainClock, check_embargo_releases, submit_cve, update_cve_status
+from cveledger.chaincode import (
+    ChainClock,
+    check_embargo_releases,
+    execute_transaction,
+    submit_cve,
+    update_cve_status,
+)
 from cveledger.corrections import reject_cve
 from cveledger.errors import LedgerError
 from cveledger.identity import CertificateAuthority, derive_keypair
@@ -86,7 +92,8 @@ def test_heap_sweep_matches_registry_scan(history):
                 state.begin_block(height, now)
             if extra:
                 before, heap = state_hash(fast), list(fast._embargo_heap)
-                assert check_embargo_releases(fast, clock, check_only=True) == (fast, [])
+                payload = {"op": "CheckEmbargoReleases", "args": {}, "caller": GOV, "clockNow": now}
+                assert execute_transaction(fast, payload, clock, check_only=True) == []
                 assert state_hash(fast) == before and fast._embargo_heap == heap
             _, events = check_embargo_releases(fast, clock)
             expected = scan_sweep(oracle, clock)
