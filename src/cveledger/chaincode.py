@@ -113,6 +113,14 @@ class WorldState:
     records), so `store` pushes exactly once per draft. Entries go stale
     when a draft is rejected or released early; the sweep drops them
     lazily.
+
+    `_index` is the other derived index, also outside `to_dict()`:
+    `(field, value) -> ids` for the `status`, `submitter` and `product` of
+    every record, withheld ones included. It only narrows the records a
+    query looks at; the query's per-record predicate still decides, so
+    withheld content stays unmatchable. It is built lazily by
+    `query_index`, so replay and ingest never pay for it, and once built
+    `store` keeps it current.
     """
 
     def __init__(self) -> None:
@@ -130,6 +138,7 @@ class WorldState:
         self._height: int = 0
         self._event_seq: int = 0
         self._embargo_heap: list[tuple[int, int, int]] = []
+        self._index: dict[tuple[str, object], set[CveId]] | None = None
         self._dry_run = False
 
     def begin_block(self, height: int, block_time: int) -> None:
@@ -165,10 +174,20 @@ class WorldState:
     def store(self, records: list[CveRecord], kind: str, subject: str, payload: dict) -> Event:
         """Put records into the registry under their ids and emit one event.
         Keeps each year's id counter at least at its highest stored
-        sequence, and pushes every stored DRAFT onto the embargo heap."""
+        sequence, pushes every stored DRAFT onto the embargo heap and, once
+        built, moves each id between the buckets of the query index."""
         self._write()
+        index = self._index
         for record in records:
             cid = record.cve_id
+            if index is not None:
+                old = self.cve_registry.get(cid)
+                if old is not None:
+                    for key in _index_keys(old):
+                        # a registry written around `store` may lack the bucket
+                        index.get(key, set()).discard(cid)
+                for key in _index_keys(record):
+                    index.setdefault(key, set()).add(cid)
             self.cve_registry[cid] = record
             self.id_counters[cid.year] = max(self.id_counters.get(cid.year, 0), cid.sequence)
             if record.status is CveStatus.DRAFT:
@@ -215,6 +234,18 @@ class WorldState:
         self.governance_members = set(governance)
         self.certificates.update(governance)
 
+    def query_index(self) -> dict[tuple[str, object], set[CveId]]:
+        """The query index, built by one pass over the registry on first
+        use. Built into a local dict and assigned once, so concurrent first
+        readers each build a complete index and either may win."""
+        if self._index is None:
+            index: dict[tuple[str, object], set[CveId]] = {}
+            for cid, record in self.cve_registry.items():
+                for key in _index_keys(record):
+                    index.setdefault(key, set()).add(cid)
+            self._index = index
+        return self._index
+
     def to_dict(self) -> dict:
         """Canonical snapshot (internal form: committed drafts keep their
         plaintext and salt here; public views are derived elsewhere)."""
@@ -232,6 +263,10 @@ class WorldState:
             "governanceMembers": sorted(self.governance_members),
             "idCounters": {str(y): n for y, n in sorted(self.id_counters.items())},
         }
+
+
+def _index_keys(record: CveRecord) -> tuple[tuple[str, object], ...]:
+    return (("status", record.status), ("submitter", record.submitter), ("product", record.product))
 
 
 def content_commitment(record: CveRecord) -> str:

@@ -58,6 +58,13 @@ class Authority(IntEnum):
     VENDOR = 2
 
 
+def _int(value, name: str) -> int:
+    """`value` if it is an int and not a bool; a decode error otherwise."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} may not be a bool")
+    return _typed(value, int, name)
+
+
 @dataclass(frozen=True)
 class MergeCandidate:
     cve_id: CveId
@@ -69,9 +76,9 @@ class MergeCandidate:
     def from_dict(cls, obj: dict) -> "MergeCandidate":
         return cls(
             cve_id=parse_cve_id(obj["cveID"]),
-            reference_count=int(obj["referenceCount"]),
+            reference_count=_int(obj["referenceCount"], "referenceCount"),
             authority=Authority[obj["authority"]],
-            publicized_at=int(obj["publicizedAt"]),
+            publicized_at=_int(obj["publicizedAt"], "publicizedAt"),
         )
 
     def to_dict(self) -> dict:
@@ -94,11 +101,11 @@ class SplitCandidate:
     @classmethod
     def from_dict(cls, obj: dict) -> "SplitCandidate":
         return cls(
-            descriptor=obj["descriptor"],
-            association_frequency=int(obj["associationFrequency"]),
+            descriptor=_typed(obj["descriptor"], str, "descriptor"),
+            association_frequency=_int(obj["associationFrequency"], "associationFrequency"),
             severity=Severity.from_dict(obj["severity"]),
-            version_breadth=int(obj["versionBreadth"]),
-            mention_order=int(obj["mentionOrder"]),
+            version_breadth=_int(obj["versionBreadth"], "versionBreadth"),
+            mention_order=_int(obj["mentionOrder"], "mentionOrder"),
         )
 
     def to_dict(self) -> dict:

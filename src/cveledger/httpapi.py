@@ -156,9 +156,8 @@ class _Handler(BaseHTTPRequestHandler):
             except ValueError:
                 return self._error(400, f"bad since: {query['since'][0]}")
         log = service.state.event_log
-        events = [
-            dict(e.to_dict(), index=i) for i, e in enumerate(log) if i >= since
-        ]
+        start = max(since, 0)
+        events = [dict(e.to_dict(), index=i) for i, e in enumerate(log[start:], start)]
         self._send(200, {"events": events, "next": len(log)})
 
     def do_POST(self):

@@ -474,10 +474,30 @@ def query_public(
 ) -> list[dict]:
     """Filtered public views, ascending id order. Content filters (product)
     never match records whose content is still withheld: matching would
-    leak the hidden field through the filter."""
+    leak the hidden field through the filter.
+
+    The index narrows, the predicate decides: an id lookup, or else the
+    smallest bucket of `state.query_index()` among the status, submitter
+    and product filters, picks the candidates (the whole registry when none
+    of those is given), and the per-record checks below decide every
+    candidate, withheld content included. That is exact as long as every
+    match is in its bucket, which `store` keeps true once the index is
+    built."""
     now = state.clock_now
+    registry = state.cve_registry
+    if cve_id is not None:
+        candidates = [cve_id] if cve_id in registry else []
+    else:
+        keys = [(f, v) for f, v in (("status", status), ("submitter", submitter), ("product", product))
+                if v is not None]
+        if keys:
+            index = state.query_index()
+            candidates = sorted(min((index.get(key, ()) for key in keys), key=len))
+        else:
+            candidates = sorted(registry)
     out = []
-    for cid, record in sorted(state.cve_registry.items()):
+    for cid in candidates:
+        record = registry[cid]
         if cve_id is not None and cid != cve_id:
             continue
         if status is not None and record.status is not status:

@@ -118,6 +118,8 @@ class Severity:
         if isinstance(obj, str):
             return cls(label=SeverityLabel(obj))
         score = obj.get("cvssScore")
+        if score is not None and (isinstance(score, bool) or not isinstance(score, (int, float))):
+            raise TypeError(f"cvssScore must be a number or null, not {type(score).__name__}")
         return cls(
             label=SeverityLabel(obj["label"]),
             cvss_score=None if score is None else float(score),

@@ -444,3 +444,97 @@ class TestArgTypes:
         args = {"cveID": "CVE-2025-0001", "note": "contested", "externalRef": {"x": [1]}}
         assert self._refused(state, {"op": "DisputeCVE", "args": args, "caller": CNA}) == {"BAD_ARGS"}
         assert state.cve_registry[parse_cve_id("CVE-2025-0001")].status is CveStatus.PUBLISHED
+
+    def _refused_dry_run_too(self, state, payload):
+        before = state_hash(state)
+        with pytest.raises(SchemaViolation) as info:
+            execute_transaction(state, {**payload, "clockNow": NOW}, CLOCK, check_only=True)
+        assert {v.code for v in info.value.violations} == {"BAD_ARGS"}
+        assert state_hash(state) == before
+        return self._refused(state, payload)
+
+    @staticmethod
+    def _split_candidate(descriptor, order, **fields):
+        return {
+            "descriptor": descriptor,
+            "associationFrequency": 1,
+            "severity": {"label": "HIGH", "cvssScore": 7.5},
+            "versionBreadth": 1,
+            "mentionOrder": order,
+            **fields,
+        }
+
+    @pytest.mark.parametrize("descriptors", [(5, {"x": 1}), ("first part", 5), ("first part", None)])
+    def test_split_refuses_non_string_descriptor(self, ca, descriptors):
+        # committed, such a record made a later DisputeCVE raise TypeError
+        state = make_state(ca)
+        submit_cve(state, make_record(), CNA, CLOCK)
+        candidates = [self._split_candidate(d, order) for order, d in enumerate(descriptors, 1)]
+        args = {"cveID": "CVE-2025-0001", "candidates": candidates}
+        payload = {"op": "SplitCVE", "args": args, "caller": CNA}
+        assert self._refused_dry_run_too(state, payload) == {"BAD_ARGS"}
+        assert list(state.cve_registry) == [parse_cve_id("CVE-2025-0001")]
+
+    @pytest.mark.parametrize("field", ["associationFrequency", "versionBreadth", "mentionOrder"])
+    @pytest.mark.parametrize("value", [5.9, "5", True])
+    def test_split_refuses_non_int_candidate_fields(self, ca, field, value):
+        state = make_state(ca)
+        submit_cve(state, make_record(), CNA, CLOCK)
+        candidates = [
+            self._split_candidate("first part", 1, **{field: value}),
+            self._split_candidate("second", 2),
+        ]
+        args = {"cveID": "CVE-2025-0001", "candidates": candidates}
+        payload = {"op": "SplitCVE", "args": args, "caller": CNA}
+        assert self._refused_dry_run_too(state, payload) == {"BAD_ARGS"}
+
+    @pytest.mark.parametrize("field", ["referenceCount", "publicizedAt"])
+    @pytest.mark.parametrize("value", [5.9, "5", True])
+    def test_merge_refuses_non_int_candidate_fields(self, ca, field, value):
+        # these values choose the canonical id, so coercing them changes the outcome
+        state = make_state(ca)
+        for cid in ("CVE-2025-0001", "CVE-2025-0002"):
+            submit_cve(state, make_record(cid), CNA, CLOCK)
+        candidates = [
+            {
+                "cveID": "CVE-2025-0001",
+                "referenceCount": 1,
+                "authority": "VENDOR",
+                "publicizedAt": 1,
+                field: value,
+            },
+            {"cveID": "CVE-2025-0002", "referenceCount": 3, "authority": "VENDOR", "publicizedAt": 1},
+        ]
+        payload = {"op": "MergeCVEs", "args": {"candidates": candidates}, "caller": CNA}
+        assert self._refused_dry_run_too(state, payload) == {"BAD_ARGS"}
+        assert {r.status for r in state.cve_registry.values()} == {CveStatus.PUBLISHED}
+
+    @pytest.mark.parametrize("score", [True, False, "7.5"])
+    def test_severity_refuses_non_numeric_score(self, ca, score):
+        from cveledger.records import record_to_dict
+
+        state = make_state(ca)
+        record = {**record_to_dict(make_record()), "severity": {"label": "HIGH", "cvssScore": score}}
+        payload = {"op": "SubmitCVE", "args": {"record": record}, "caller": CNA}
+        assert self._refused_dry_run_too(state, payload) == {"BAD_ARGS"}
+        assert state.cve_registry == {}
+        submit_cve(state, make_record(), CNA, CLOCK)
+        severity = {"label": "HIGH", "cvssScore": score}
+        candidates = [
+            self._split_candidate("first part", 1, severity=severity),
+            self._split_candidate("second", 2),
+        ]
+        args = {"cveID": "CVE-2025-0001", "candidates": candidates}
+        payload = {"op": "SplitCVE", "args": args, "caller": CNA}
+        assert self._refused_dry_run_too(state, payload) == {"BAD_ARGS"}
+
+    def test_severity_accepts_int_and_null_scores(self, ca):
+        from cveledger.records import record_to_dict
+
+        state = make_state(ca)
+        for cid, severity in (("CVE-2025-0001", {"label": "HIGH", "cvssScore": 7}),
+                              ("CVE-2025-0002", {"label": "HIGH", "cvssScore": None})):
+            record = {**record_to_dict(make_record(cid)), "severity": severity}
+            execute_transaction(state, {"op": "SubmitCVE", "args": {"record": record}, "caller": CNA}, CLOCK)
+        assert state.cve_registry[parse_cve_id("CVE-2025-0001")].severity.cvss_score == 7.0
+        assert state.cve_registry[parse_cve_id("CVE-2025-0002")].severity.cvss_score is None

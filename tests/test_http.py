@@ -7,6 +7,7 @@ import urllib.request
 
 import pytest
 
+from cveledger.canonical import to_canonical_json
 from cveledger.httpapi import serve_in_thread
 from cveledger.ledger import replay
 from cveledger.storage import write_chain_file
@@ -135,6 +136,16 @@ class TestEndpoints:
         assert status == 200 and len(sliced["events"]) == 1
         assert sliced["events"][0]["index"] == body["next"] - 1
         assert get(base, "/v1/events?since=xyz")[0] == 400
+
+    def test_events_since_edges_match_full_walk(self, service):
+        base, _, net = service
+        log = replay(net.chain).event_log
+        for since in (-5, 0, len(log), len(log) + 3):
+            status, body = get(base, f"/v1/events?since={since}")
+            # the body the route served when it walked the whole log
+            walked = [dict(e.to_dict(), index=i) for i, e in enumerate(log) if i >= since]
+            assert status == 200
+            assert body == json.loads(to_canonical_json({"events": walked, "next": len(log)}))
 
     def test_unknown_route_404(self, service):
         base, _, _ = service
