@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import time
 
-from .chaincode import OP_ONBOARD, OP_SUBMIT
 from .identity import ROLE_CNA
 from .ledger import state_hash
 from .network import OrdererConfig, SimulatedNetwork
@@ -44,12 +43,7 @@ def bench(
     )
     cnas = [f"cna.bench{i}" for i in range(max(1, peer_count))]
     for cna in cnas:
-        cert = net.issue_identity(cna, ROLE_CNA)
-        result = net.invoke(
-            OP_ONBOARD,
-            {"cnaID": cna, "certHash": cert.cert_hash(), "certificate": cert.to_dict()},
-            net.governance_id,
-        )
+        result = net.onboard(cna, net.issue_identity(cna, ROLE_CNA), net.governance_id)
         assert result.accepted, "benchmark onboarding must succeed"
     net.tick()
 
@@ -61,9 +55,9 @@ def bench(
     while committed < tx_count:
         batch = min(max_block_txs, tx_count - committed)
         for _ in range(batch):
-            args = {"record": _bench_record(seq, cnas[(seq - 1) % len(cnas)])}
+            record = _bench_record(seq, cnas[(seq - 1) % len(cnas)])
             t0 = time.perf_counter()
-            result = net.invoke(OP_SUBMIT, args, cnas[(seq - 1) % len(cnas)])
+            result = net.submit(record)
             if not result.accepted:
                 raise RuntimeError(f"benchmark submission {seq} refused: {result.refusals}")
             submitted_at[result.tx.tx_id] = t0

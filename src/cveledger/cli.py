@@ -206,15 +206,15 @@ def _run(args) -> int:
 
         _, _, state = _load_readonly(data_dir)
         filters: dict = {}
-        if args.status:
+        if args.status is not None:
             filters["status"] = CveStatus(args.status)
-        if args.product:
+        if args.product is not None:
             filters["product"] = args.product
-        if args.year:
+        if args.year is not None:
             filters["year"] = args.year
-        if args.cve_id:
+        if args.cve_id is not None:
             filters["cve_id"] = parse_cve_id(args.cve_id)
-        if args.submitter:
+        if args.submitter is not None:
             filters["submitter"] = args.submitter
         _emit(query_public(state, **filters))
         return 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .canonical import to_canonical_json
 from .chaincode import (
@@ -77,15 +78,16 @@ class Refusal:
 
 
 class Peer:
-    """One organization's node: chain replica plus materialized state."""
+    """One organization's node: materialized state plus the hash of the last
+    block it committed, against which the next block's link is checked."""
 
     def __init__(self, peer_id: str, org: str, key: KeyPair, genesis: Block):
         self.peer_id = peer_id
         self.org = org
         self.key = key
-        self.chain: list[Block] = []
         self.state = WorldState()
-        self.commit_block(genesis)
+        apply_block(self.state, genesis)
+        self.tip_hash = genesis.block_hash
 
     def endorse(self, tx: Transaction, crl, cert_check_cache: dict | None = None):
         """Signature over the payload iff the caller's certificate verifies
@@ -125,10 +127,9 @@ class Peer:
         return self.peer_id, sign_payload(self.key, tx.payload_bytes()).hex()
 
     def commit_block(self, block: Block) -> None:
-        if self.chain:
-            assert block.prev_hash == self.chain[-1].block_hash, "orderer broke the chain"
+        assert block.prev_hash == self.tip_hash, "orderer broke the chain"
         apply_block(self.state, block)
-        self.chain.append(block)
+        self.tip_hash = block.block_hash
 
     def state_hash(self) -> str:
         return state_hash(self.state)
@@ -141,8 +142,40 @@ class SubmitResult:
     refusals: list[Refusal] = field(default_factory=list)
 
 
+def build_consortium(
+    new_key: Callable[[str], KeyPair],
+    *,
+    n_peers: int,
+    policy: EndorsementPolicy,
+    genesis_time: int,
+    governance_id: str,
+) -> tuple[CertificateAuthority, dict[str, KeyPair], Certificate, Block]:
+    """The genesis of a consortium: a CA, the governance member and its
+    certificate, peers `peer<i>.org<i>` of orgs `org<i>`, and the genesis
+    block that anchors them. `new_key(label)` supplies each key, labelled
+    "ca", the governance id or the peer id. Returns (ca, keys, governance
+    certificate, genesis), where `keys` holds the governance and peer keys."""
+    ca = CertificateAuthority(new_key("ca"))
+    keys = {governance_id: new_key(governance_id)}
+    gov_cert = ca.issue_certificate(
+        governance_id, ROLE_GOVERNANCE, keys[governance_id].public_hex, issued_at=genesis_time
+    )
+    peers_cfg = {}
+    for i in range(n_peers):
+        pid = f"peer{i}.org{i}"
+        keys[pid] = new_key(pid)
+        peers_cfg[pid] = {"org": f"org{i}", "publicKey": keys[pid].public_hex}
+    genesis = make_genesis_block(ca.public_key, {governance_id: gov_cert}, peers_cfg, policy, genesis_time)
+    return ca, keys, gov_cert, genesis
+
+
 class SimulatedNetwork:
-    """Consortium in one process: CA, governance identity, N peers, orderer."""
+    """Consortium in one process: CA, governance identity, N peers, orderer.
+
+    `keys` holds the signing keys of the participants that may call; the
+    peers keep their own. A network built here from `seed` starts with only
+    the governance key in `keys` (`issue_identity` adds CNAs), so a peer id
+    named as caller fails with `BadCertificate`."""
 
     def __init__(
         self,
@@ -154,40 +187,17 @@ class SimulatedNetwork:
         orderer: OrdererConfig | None = None,
         governance_id: str = DEFAULT_GOVERNANCE,
     ):
-        self.orderer = orderer or OrdererConfig()
-        self.seed = seed
-        self.ca = CertificateAuthority(derive_keypair(seed, "ca"))
-        self.keys: dict[str, KeyPair] = {}
-        self.certs: dict[str, Certificate] = {}
-        self.governance_id = governance_id
-
-        gov_key = derive_keypair(seed, governance_id)
-        gov_cert = self.ca.issue_certificate(
-            governance_id, ROLE_GOVERNANCE, gov_key.public_hex, issued_at=genesis_time
+        ca, keys, gov_cert, genesis = build_consortium(
+            lambda label: derive_keypair(seed, label),
+            n_peers=n_peers,
+            policy=policy or EndorsementPolicy(rule="ANY_N", n=1),
+            genesis_time=genesis_time,
+            governance_id=governance_id,
         )
-        self.keys[governance_id] = gov_key
-        self.certs[governance_id] = gov_cert
-
-        peers_cfg = {}
-        peer_keys = {}
-        for i in range(n_peers):
-            pid = f"peer{i}.org{i}"
-            key = derive_keypair(seed, pid)
-            peer_keys[pid] = key
-            peers_cfg[pid] = {"org": f"org{i}", "publicKey": key.public_hex}
-        self.policy = policy or EndorsementPolicy(rule="ANY_N", n=1)
-        genesis = make_genesis_block(
-            self.ca.public_key, {governance_id: gov_cert}, peers_cfg, self.policy, genesis_time
+        self._attach(
+            ca=ca, keys={governance_id: keys[governance_id]}, peer_keys=keys, certs={governance_id: gov_cert},
+            chain=[genesis], orderer=orderer or OrdererConfig(), governance_id=governance_id, seed=seed,
         )
-        self.trust = TrustAnchors.from_genesis(genesis)
-        self.peers = [
-            Peer(pid, peers_cfg[pid]["org"], peer_keys[pid], genesis) for pid in sorted(peers_cfg)
-        ]
-        self.chain: list[Block] = [genesis]
-        self.clock: int = genesis_time
-        self.pending: list[tuple[int, Transaction]] = []
-        self._arrival_seq = 0
-        self._cert_check_cache: dict = {}
 
     @classmethod
     def from_materials(
@@ -201,34 +211,57 @@ class SimulatedNetwork:
         governance_id: str = DEFAULT_GOVERNANCE,
     ) -> "SimulatedNetwork":
         """Rebuild a running network around an existing chain: peers replay
-        it independently and the orderer resumes at the tip's clock."""
+        it independently and the orderer resumes at the tip's clock.
+
+        `keys` must hold every genesis peer's key, and it becomes the
+        network's `keys` as given, so any participant in it may call, the
+        peers included (a data dir keeps all of its keys together)."""
         if not chain:
             raise ValueError("a genesis block is required")
         net = cls.__new__(cls)
-        net.orderer = orderer
-        net.seed = b""
-        net.ca = ca
-        net.keys = dict(keys)
-        net.certs = dict(certs)
-        net.governance_id = governance_id
+        net._attach(
+            ca=ca, keys=keys, peer_keys=keys, certs=certs, chain=chain, orderer=orderer,
+            governance_id=governance_id, seed=b"",
+        )
+        return net
+
+    def _attach(
+        self,
+        *,
+        ca: CertificateAuthority,
+        keys: dict[str, KeyPair],
+        peer_keys: dict[str, KeyPair],
+        certs: dict[str, Certificate],
+        chain: list[Block],
+        orderer: OrdererConfig,
+        governance_id: str,
+        seed: bytes,
+    ) -> None:
+        """Set every field: the trust anchors and peers come from the genesis
+        block, and each peer replays the rest of `chain`."""
+        self.orderer = orderer
+        self.seed = seed
+        self.ca = ca
+        self.keys = dict(keys)
+        self.certs = dict(certs)
+        self.governance_id = governance_id
         genesis = chain[0]
-        net.trust = TrustAnchors.from_genesis(genesis)
-        net.policy = net.trust.policy
-        net.peers = []
-        for pid in sorted(net.trust.peer_keys):
-            key = net.keys.get(pid)
+        self.trust = TrustAnchors.from_genesis(genesis)
+        self.policy = self.trust.policy
+        self.peers = []
+        for pid in sorted(self.trust.peer_keys):
+            key = peer_keys.get(pid)
             if key is None:
                 raise BadCertificate(f"missing signing key for peer {pid}")
-            peer = Peer(pid, net.trust.peer_orgs[pid], key, genesis)
+            peer = Peer(pid, self.trust.peer_orgs[pid], key, genesis)
             for block in chain[1:]:
                 peer.commit_block(block)
-            net.peers.append(peer)
-        net.chain = list(chain)
-        net.clock = chain[-1].block_time
-        net.pending = []
-        net._arrival_seq = 0
-        net._cert_check_cache = {}
-        return net
+            self.peers.append(peer)
+        self.chain = list(chain)
+        self.clock = chain[-1].block_time
+        self.pending: list[tuple[int, Transaction]] = []
+        self._arrival_seq = 0
+        self._cert_check_cache: dict = {}
 
     # -- identities ---------------------------------------------------------
 
@@ -280,6 +313,28 @@ class SimulatedNetwork:
 
     def invoke(self, op: str, args: dict, caller: str) -> SubmitResult:
         return self.submit_tx(self.build_tx(op, args, caller))
+
+    def onboard(self, cna: str, cert: Certificate, caller: str) -> SubmitResult:
+        """OnboardCNA of `cna` with its certificate."""
+        return self.invoke(
+            OP_ONBOARD, {"cnaID": cna, "certHash": cert.cert_hash(), "certificate": cert.to_dict()}, caller
+        )
+
+    def revoke(self, cna: str, caller: str) -> SubmitResult:
+        """RevokeCNA of `cna`; once it is endorsed, the CA also revokes the
+        CNA's certificate."""
+        result = self.invoke(OP_REVOKE, {"cnaID": cna}, caller)
+        if result.accepted:
+            self.revoke_identity(cna)
+        return result
+
+    def submit(self, record: dict, salt: str | None = None, caller: str | None = None) -> SubmitResult:
+        """SubmitCVE of `record`, with `salt` when one is given, signed by the
+        record's `submitterCNA` (by `caller` when the record names none)."""
+        args: dict = {"record": record}
+        if salt is not None:
+            args["salt"] = salt
+        return self.invoke(OP_SUBMIT, args, record.get("submitterCNA", caller))
 
     def advance_clock(self, now: int) -> None:
         if now < self.clock:
@@ -374,30 +429,18 @@ def _drive(script: dict | list) -> tuple[SimulatedNetwork, list[dict], list[dict
         out: dict = {"atTick": int(entry.get("atTick", 0)), "action": kind}
         if kind == "onboard":
             cna = args["cna"]
-            cert = net.certs.get(cna) or net.issue_identity(cna, ROLE_CNA)
-            result = net.invoke(
-                OP_ONBOARD,
-                {"cnaID": cna, "certHash": cert.cert_hash(), "certificate": cert.to_dict()},
-                caller,
-            )
+            result = net.onboard(cna, net.certs.get(cna) or net.issue_identity(cna, ROLE_CNA), caller)
         elif kind == "revoke":
-            cna = args["cna"]
-            result = net.invoke(OP_REVOKE, {"cnaID": cna}, caller)
-            if result.accepted:
-                net.revoke_identity(cna)
+            result = net.revoke(args["cna"], caller)
         elif kind == "submit":
             record = dict(args["record"])
             if "embargoTicks" in args:
                 record["embargoUntil"] = genesis_time + int(args["embargoTicks"]) * tick_seconds
-            submitter = record.get("submitterCNA", caller)
             salt = args.get("salt")
             if salt is None and record.get("embargoUntil") is not None:
                 salt = _scenario_salt(seed, salt_counter)
                 salt_counter += 1
-            tx_args = {"record": record}
-            if salt is not None:
-                tx_args["salt"] = salt
-            result = net.invoke(OP_SUBMIT, tx_args, submitter)
+            result = net.submit(record, salt, caller)
         elif kind == "embargo-tick":
             result = net.invoke(OP_CHECK_EMBARGO, {}, caller)
         elif kind in _ACTION_OPS:

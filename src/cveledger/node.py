@@ -16,19 +16,14 @@ from pathlib import Path
 
 from . import errors
 from .canonical import to_canonical_json
-from .chaincode import OP_CHECK_EMBARGO, OP_ONBOARD, OP_REVOKE, OP_SUBMIT, OP_UPDATE_STATUS
+from .chaincode import OP_CHECK_EMBARGO, OP_UPDATE_STATUS
 from .corrections import OP_DISPUTE, OP_MERGE, OP_PARTIAL_DUP, OP_REJECT, OP_SPLIT
 from .errors import LedgerError
-from .identity import (
-    Certificate,
-    CertificateAuthority,
-    KeyPair,
-    ROLE_GOVERNANCE,
-    RevocationList,
-)
-from .ledger import AuditReport, EndorsementPolicy, make_genesis_block, state_hash
-from .network import DEFAULT_GOVERNANCE, OrdererConfig, SimulatedNetwork, SubmitResult
+from .identity import Certificate, CertificateAuthority, KeyPair, RevocationList, derive_keypair
+from .ledger import EndorsementPolicy, state_hash
+from .network import DEFAULT_GOVERNANCE, OrdererConfig, SimulatedNetwork, SubmitResult, build_consortium
 from .records import parse_cve_id
+# audit_file is looked up here by the benchmark's span tracer
 from .storage import DataDirLock, append_block_file, audit_file, read_chain
 
 LEDGER_FILE = "ledger.jsonl"
@@ -113,7 +108,9 @@ class Node:
         seed: bytes | None = None,
     ) -> "Node":
         """Create the CA, bootstrap governance, peer identities, and the
-        genesis block."""
+        genesis block. Keys come from `seed` when one is given, else are
+        random. Every key is written to `keys/` and held in `net.keys`, so
+        governance and the peers can sign; `issue` adds the others."""
         data_dir = Path(data_dir)
         data_dir.mkdir(parents=True, exist_ok=True)
         if (data_dir / LEDGER_FILE).exists():
@@ -131,26 +128,12 @@ class Node:
         )
 
         def new_key(label: str) -> KeyPair:
-            if seed is None:
-                return KeyPair.generate()
-            from .identity import derive_keypair
+            return KeyPair.generate() if seed is None else derive_keypair(seed, label)
 
-            return derive_keypair(seed, label)
-
-        ca = CertificateAuthority(new_key("ca"))
         gov_id = config.governance_id
-        gov_key = new_key(gov_id)
-        gov_cert = ca.issue_certificate(gov_id, ROLE_GOVERNANCE, gov_key.public_hex, issued_at=genesis_time)
-
-        peers_cfg = {}
-        keys = {gov_id: gov_key}
-        for i in range(peer_count):
-            pid = f"peer{i}.org{i}"
-            key = new_key(pid)
-            keys[pid] = key
-            peers_cfg[pid] = {"org": f"org{i}", "publicKey": key.public_hex}
-
-        genesis = make_genesis_block(ca.public_key, {gov_id: gov_cert}, peers_cfg, policy, genesis_time)
+        ca, keys, gov_cert, genesis = build_consortium(
+            new_key, n_peers=peer_count, policy=policy, genesis_time=genesis_time, governance_id=gov_id
+        )
         append_block_file(data_dir / LEDGER_FILE, genesis)
         _write_json(data_dir / CONFIG_FILE, config.to_dict())
         _write_json(data_dir / CRL_FILE, RevocationList().to_dict())
@@ -167,13 +150,13 @@ class Node:
             orderer=config.orderer,
             governance_id=gov_id,
         )
-        net.ca.crl = RevocationList()
         return cls(data_dir, config, net, lock)
 
     @classmethod
     def open(cls, data_dir: str | Path) -> "Node":
         """Load config, keys, certificates, and the ledger (recovering a
-        truncated tail if a previous append was interrupted)."""
+        truncated tail if a previous append was interrupted). `net.keys`
+        holds every key in `keys/` but the CA's."""
         data_dir = Path(data_dir)
         config_path = data_dir / CONFIG_FILE
         if not config_path.exists():
@@ -256,9 +239,12 @@ class Node:
 
     # -- mutations ---------------------------------------------------------------
 
-    def _commit(self, op: str, args: dict, caller: str) -> dict:
+    def _commit(self, op: str, args: dict, caller: str | None = None) -> dict:
+        """`op` signed by `caller`, or by governance when none is given."""
+        return self._append(self.net.invoke(op, args, caller or self.config.governance_id))
+
+    def _append(self, result: SubmitResult) -> dict:
         """One CLI mutation == one transaction == one block."""
-        result = self.net.invoke(op, args, caller)
         if not result.accepted:
             raise _refusal_error(result)
         blocks = self.net.tick(self.net.clock)
@@ -274,24 +260,16 @@ class Node:
         cert = Certificate.from_dict(_read_json(Path(cert_path)))
         _write_json(self.data_dir / CERTS_DIR / f"{cert.subject}.json", cert.to_dict())
         self.net.certs[cert.subject] = cert
-        return self._commit(
-            OP_ONBOARD,
-            {"cnaID": cna, "certHash": cert.cert_hash(), "certificate": cert.to_dict()},
-            self.config.governance_id,
-        )
+        return self._append(self.net.onboard(cna, cert, self.config.governance_id))
 
     def revoke(self, cna: str) -> dict:
-        out = self._commit(OP_REVOKE, {"cnaID": cna}, self.config.governance_id)
-        cert = self.net.certs.get(cna)
-        notice = None
-        if cert is not None:
-            before = self.net.ca.crl.version
-            self.net.ca.revoke(cert.serial)
-            notice = "AlreadyRevoked" if self.net.ca.crl.version == before else None
-            _write_json(self.data_dir / CRL_FILE, self.net.ca.crl.to_dict())
-        out["crlVersion"] = self.net.ca.crl.version
-        if notice:
-            out["notice"] = notice
+        before = self.net.crl.version
+        out = self._append(self.net.revoke(cna, self.config.governance_id))
+        if cna in self.net.certs:
+            if self.net.crl.version == before:
+                out["notice"] = "AlreadyRevoked"
+            _write_json(self.data_dir / CRL_FILE, self.net.crl.to_dict())
+        out["crlVersion"] = self.net.crl.version
         return out
 
     def submit(self, record: dict, embargo: int | None = None, salt: str | None = None) -> dict:
@@ -301,10 +279,8 @@ class Node:
         caller = record.get("submitterCNA", "")
         if caller not in self.net.keys:
             raise errors.BadCertificate(f"no local signing key for {caller!r}; run issue first")
-        args: dict = {"record": record}
-        if record.get("embargoUntil") is not None:
-            args["salt"] = salt or secrets.token_hex(16)
-        out = self._commit(OP_SUBMIT, args, caller)
+        embargoed = record.get("embargoUntil") is not None
+        out = self._append(self.net.submit(record, (salt or secrets.token_hex(16)) if embargoed else None))
         out["cveID"] = record.get("cveID")
         stored = self.state.cve_registry.get(parse_cve_id(record["cveID"]))
         if stored is not None:
@@ -312,41 +288,25 @@ class Node:
         return out
 
     def update_status(self, cve_id: str, new_status: str, caller: str | None = None) -> dict:
-        return self._commit(
-            OP_UPDATE_STATUS,
-            {"cveID": cve_id, "newStatus": new_status},
-            caller or self.config.governance_id,
-        )
+        return self._commit(OP_UPDATE_STATUS, {"cveID": cve_id, "newStatus": new_status}, caller)
 
     def reject(self, cve_id: str, reason: str, caller: str | None = None) -> dict:
-        return self._commit(
-            OP_REJECT, {"cveID": cve_id, "reason": reason}, caller or self.config.governance_id
-        )
+        return self._commit(OP_REJECT, {"cveID": cve_id, "reason": reason}, caller)
 
     def dispute(self, cve_id: str, note: str, external_ref: str | None = None, caller: str | None = None) -> dict:
         args = {"cveID": cve_id, "note": note}
         if external_ref:
             args["externalRef"] = external_ref
-        return self._commit(OP_DISPUTE, args, caller or self.config.governance_id)
+        return self._commit(OP_DISPUTE, args, caller)
 
     def merge(self, candidates: list[dict], caller: str | None = None) -> dict:
-        return self._commit(
-            OP_MERGE, {"candidates": candidates}, caller or self.config.governance_id
-        )
+        return self._commit(OP_MERGE, {"candidates": candidates}, caller)
 
     def split(self, cve_id: str, candidates: list[dict], caller: str | None = None) -> dict:
-        return self._commit(
-            OP_SPLIT,
-            {"cveID": cve_id, "candidates": candidates},
-            caller or self.config.governance_id,
-        )
+        return self._commit(OP_SPLIT, {"cveID": cve_id, "candidates": candidates}, caller)
 
     def partial_duplicate(self, keep: str, revise: str, caller: str | None = None) -> dict:
-        return self._commit(
-            OP_PARTIAL_DUP,
-            {"keepID": keep, "reviseID": revise},
-            caller or self.config.governance_id,
-        )
+        return self._commit(OP_PARTIAL_DUP, {"keepID": keep, "reviseID": revise}, caller)
 
     def tick(self, now: int | None = None) -> dict:
         """Advance the chain clock and run the embargo sweep."""
@@ -354,7 +314,7 @@ class Node:
             self.net.advance_clock(int(now))
         else:
             self.net.advance_clock(self.net.clock + self.config.orderer.tick_seconds)
-        out = self._commit(OP_CHECK_EMBARGO, {}, self.config.governance_id)
+        out = self._commit(OP_CHECK_EMBARGO, {})
         out["clockNow"] = self.net.clock
         released = [
             e.payload["cveID"]
@@ -369,14 +329,6 @@ class Node:
     @property
     def state(self):
         return self.net.peers[0].state
-
-    def query(self, **filters) -> list[dict]:
-        from .ledger import query_public
-
-        return query_public(self.state, **filters)
-
-    def audit(self) -> AuditReport:
-        return audit_file(self.data_dir / LEDGER_FILE)
 
     def replay_hash(self) -> str:
         from .ledger import replay

@@ -146,6 +146,25 @@ class TestLifecycleCommands:
         assert json.loads(err)["error"] == "UnauthorizedCaller"
 
 
+
+class TestQueryFilters:
+    @pytest.mark.parametrize("flag,value", [("--year", "0"), ("--product", ""), ("--submitter", "")])
+    def test_falsy_filter_still_filters(self, tmp_path, data_dir, capsys, flag, value):
+        onboard_redhat(capsys, data_dir, tmp_path)
+        run_cli(capsys, "--data-dir", str(data_dir), "submit", write_record(tmp_path))
+        code, out, _ = run_cli(capsys, "--data-dir", str(data_dir), "query")
+        assert code == 0 and len(out) == 1
+        code, out, _ = run_cli(capsys, "--data-dir", str(data_dir), "query", flag, value)
+        assert code == 0 and out == []
+
+    def test_empty_id_is_malformed(self, tmp_path, data_dir, capsys):
+        onboard_redhat(capsys, data_dir, tmp_path)
+        run_cli(capsys, "--data-dir", str(data_dir), "submit", write_record(tmp_path))
+        code, out, err = run_cli(capsys, "--data-dir", str(data_dir), "query", "--id", "")
+        assert code == 1 and out is None
+        assert json.loads(err)["error"] == "MalformedId"
+
+
 class TestExitCodes:
     def test_audit_pristine_exits_zero(self, data_dir, capsys):
         code, out, _ = run_cli(capsys, "--data-dir", str(data_dir), "audit")

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cveledger.canonical import to_canonical_json
 from cveledger.httpapi import serve_in_thread
@@ -177,3 +181,43 @@ class TestReadOnly:
             for route in routes:
                 get(base, route)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == before
+
+
+# Every route's prefix (and some near misses); the strategies add an
+# arbitrary tail and query string. Characters outside `_RAW` are
+# percent-encoded, so malformed escapes such as "%zz" reach the server raw.
+_PREFIXES = ("/v1/cve/", "/v1/cve", "/v1/blocks/", "/v1/audit", "/v1/events", "/v1/", "/", "")
+_FILTERS = ("status", "year", "id", "product", "submitter", "since")
+_RAW = "/?&=%;+#:@!$'()*,~"
+_values = st.one_of(
+    st.text(max_size=24),
+    st.integers().map(str),
+    st.sampled_from(
+        ["", "-1", "0", "PUBLISHED", "DRAFT", "CVE-2025-0001", "CVE-2025-0099", "%zz", "%e9", "1e3",
+         "\u0663", "9" * 5000]
+    ),
+)
+_params = st.lists(st.tuples(st.one_of(st.sampled_from(_FILTERS), st.text(max_size=8)), _values), max_size=4)
+
+
+@st.composite
+def _targets(draw) -> str:
+    path = draw(st.sampled_from(_PREFIXES)) + draw(st.one_of(st.just(""), _values))
+    query = "&".join(f"{k}={v}" for k, v in draw(_params))
+    target = urllib.parse.quote(path, safe=_RAW)
+    return target + ("?" + urllib.parse.quote(query, safe=_RAW) if query else "")
+
+
+class TestArbitraryRequests:
+    @settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(target=_targets())
+    def test_every_answer_is_2xx_or_4xx(self, service, target):
+        base, _, _ = service
+        conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=30)
+        try:
+            conn.request("GET", target)
+            response = conn.getresponse()
+            body = response.read()
+        finally:
+            conn.close()
+        assert response.status // 100 in (2, 4), (target, response.status, body[:200])
