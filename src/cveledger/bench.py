@@ -44,7 +44,8 @@ def bench(
     cnas = [f"cna.bench{i}" for i in range(max(1, peer_count))]
     for cna in cnas:
         result = net.onboard(cna, net.issue_identity(cna, ROLE_CNA), net.governance_id)
-        assert result.accepted, "benchmark onboarding must succeed"
+        if not result.accepted:
+            raise RuntimeError(f"benchmark onboarding of {cna} refused: {result.refusals}")
     net.tick()
 
     latencies: list[float] = []

@@ -234,6 +234,22 @@ class WorldState:
         self.governance_members = set(governance)
         self.certificates.update(governance)
 
+    def copy(self) -> "WorldState":
+        """An equal state sharing no mutable container with this one, only the frozen
+        records, certificates, events and failure entries; its query index stays lazy."""
+        other = WorldState()
+        other.cve_registry = dict(self.cve_registry)
+        other.authorized_cnas = dict(self.authorized_cnas)
+        other.governance_members = set(self.governance_members)
+        other.id_counters = dict(self.id_counters)
+        other.event_log = list(self.event_log)
+        other.certificates = dict(self.certificates)
+        other.ca_public_key = self.ca_public_key
+        other.failed_txs = list(self.failed_txs)
+        other.clock_now, other._height, other._event_seq = self.clock_now, self._height, self._event_seq
+        other._embargo_heap = list(self._embargo_heap)
+        return other
+
     def query_index(self) -> dict[tuple[str, object], set[CveId]]:
         """The query index, built by one pass over the registry on first
         use. Built into a local dict and assigned once, so concurrent first

@@ -1,9 +1,10 @@
 """Read-only audit/query HTTP endpoints.
 
-GET only; there is no mutating route. Served views apply the same embargo
-redaction as the query layer, including raw block responses: submission
-payloads of still-embargoed records are served with their content fields
-replaced by the commitment hash.
+GET only; every other method gets a JSON 405 (headers only for HEAD).
+Served views apply the same embargo redaction as the query layer,
+including raw block responses: submission payloads of still-embargoed
+records are served with their content fields replaced by the commitment
+hash.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
 
     def _error(self, code: int, message: str) -> None:
         self._send(code, {"error": message})
@@ -166,6 +168,8 @@ class _Handler(BaseHTTPRequestHandler):
     do_PUT = do_POST
     do_DELETE = do_POST
     do_PATCH = do_POST
+    do_HEAD = do_POST
+    do_OPTIONS = do_POST
 
 
 def serve_queries(

@@ -26,7 +26,7 @@ from .chaincode import (
     execute_transaction,
 )
 from .corrections import OP_DISPUTE, OP_MERGE, OP_PARTIAL_DUP, OP_REJECT, OP_SPLIT
-from .errors import BadCertificate, ClockRegression, LedgerError, UnauthorizedCaller
+from .errors import BadCertificate, ClockRegression, LedgerCorrupt, LedgerError, UnauthorizedCaller
 from .identity import (
     Certificate,
     CertificateAuthority,
@@ -77,17 +77,24 @@ class Refusal:
     message: str
 
 
-class Peer:
-    """One organization's node: materialized state plus the hash of the last
-    block it committed, against which the next block's link is checked."""
+def _commit(state: WorldState, tip_hash: str, block: Block) -> str:
+    """Apply `block` if it links to the tip hash `tip_hash`; the new tip hash."""
+    if block.prev_hash != tip_hash:
+        raise LedgerCorrupt(f"block {block.height} does not link to its predecessor", height=block.height)
+    apply_block(state, block)
+    return block.block_hash
 
-    def __init__(self, peer_id: str, org: str, key: KeyPair, genesis: Block):
+
+class Peer:
+    """One organization's node: its own copy of the state the network rebuilt
+    once, plus the tip hash against which the next block's link is checked."""
+
+    def __init__(self, peer_id: str, org: str, key: KeyPair, state: WorldState, tip_hash: str):
         self.peer_id = peer_id
         self.org = org
         self.key = key
-        self.state = WorldState()
-        apply_block(self.state, genesis)
-        self.tip_hash = genesis.block_hash
+        self.state = state
+        self.tip_hash = tip_hash
 
     def endorse(self, tx: Transaction, crl, cert_check_cache: dict | None = None):
         """Signature over the payload iff the caller's certificate verifies
@@ -127,9 +134,7 @@ class Peer:
         return self.peer_id, sign_payload(self.key, tx.payload_bytes()).hex()
 
     def commit_block(self, block: Block) -> None:
-        assert block.prev_hash == self.tip_hash, "orderer broke the chain"
-        apply_block(self.state, block)
-        self.tip_hash = block.block_hash
+        self.tip_hash = _commit(self.state, self.tip_hash, block)
 
     def state_hash(self) -> str:
         return state_hash(self.state)
@@ -210,8 +215,9 @@ class SimulatedNetwork:
         orderer: OrdererConfig,
         governance_id: str = DEFAULT_GOVERNANCE,
     ) -> "SimulatedNetwork":
-        """Rebuild a running network around an existing chain: peers replay
-        it independently and the orderer resumes at the tip's clock.
+        """Rebuild a running network around an existing chain: it is replayed
+        once, each peer starts from its own copy of that state, and the orderer
+        resumes at the tip's clock. Without a seed, `issue_identity` refuses.
 
         `keys` must hold every genesis peer's key, and it becomes the
         network's `keys` as given, so any participant in it may call, the
@@ -221,7 +227,7 @@ class SimulatedNetwork:
         net = cls.__new__(cls)
         net._attach(
             ca=ca, keys=keys, peer_keys=keys, certs=certs, chain=chain, orderer=orderer,
-            governance_id=governance_id, seed=b"",
+            governance_id=governance_id, seed=None,
         )
         return net
 
@@ -235,10 +241,11 @@ class SimulatedNetwork:
         chain: list[Block],
         orderer: OrdererConfig,
         governance_id: str,
-        seed: bytes,
+        seed: bytes | None,
     ) -> None:
         """Set every field: the trust anchors and peers come from the genesis
-        block, and each peer replays the rest of `chain`."""
+        block; `chain` is replayed once, links checked as `Peer.commit_block`
+        checks them, and each peer gets a `WorldState.copy()` and the tip."""
         self.orderer = orderer
         self.seed = seed
         self.ca = ca
@@ -248,15 +255,15 @@ class SimulatedNetwork:
         genesis = chain[0]
         self.trust = TrustAnchors.from_genesis(genesis)
         self.policy = self.trust.policy
-        self.peers = []
-        for pid in sorted(self.trust.peer_keys):
-            key = peer_keys.get(pid)
-            if key is None:
+        pids = sorted(self.trust.peer_keys)
+        for pid in pids:
+            if pid not in peer_keys:
                 raise BadCertificate(f"missing signing key for peer {pid}")
-            peer = Peer(pid, self.trust.peer_orgs[pid], key, genesis)
-            for block in chain[1:]:
-                peer.commit_block(block)
-            self.peers.append(peer)
+        state, tip = WorldState(), genesis.block_hash
+        apply_block(state, genesis)
+        for block in chain[1:]:
+            tip = _commit(state, tip, block)
+        self.peers = [Peer(pid, self.trust.peer_orgs[pid], peer_keys[pid], state.copy(), tip) for pid in pids]
         self.chain = list(chain)
         self.clock = chain[-1].block_time
         self.pending: list[tuple[int, Transaction]] = []
@@ -266,6 +273,8 @@ class SimulatedNetwork:
     # -- identities ---------------------------------------------------------
 
     def issue_identity(self, participant: str, role: str = ROLE_CNA) -> Certificate:
+        if self.seed is None:  # a key derived from no seed is one anyone can recompute
+            raise BadCertificate("network has no key seed; issue identities through the node")
         key = derive_keypair(self.seed, participant)
         cert = self.ca.issue_certificate(participant, role, key.public_hex, issued_at=self.clock)
         self.keys[participant] = key

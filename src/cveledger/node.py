@@ -1,9 +1,9 @@
 """Operator node: durable storage wiring around the simulated network.
 
 One writer process per data dir (advisory lock). The ledger file is the
-only source of truth: opening a node replays it into memory, every
-mutation runs the full endorse -> order -> commit pipeline, and each
-committed block is appended to the file before the call returns.
+only source of truth: opening a node replays it once and copies the state
+to each peer, every mutation runs the full endorse -> order -> commit
+pipeline, and each committed block is in the file before the call returns.
 """
 
 from __future__ import annotations

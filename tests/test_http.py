@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import socket
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -164,6 +165,24 @@ class TestReadOnly:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req)
         assert err.value.code == 405
+
+    @pytest.mark.parametrize("method", ["HEAD", "OPTIONS", "POST", "PUT", "DELETE", "PATCH"])
+    def test_every_other_method_gets_json_405_on_every_route(self, service, method):
+        base, _, _ = service
+        expected = json.dumps({"error": "read-only service"}, separators=(",", ":")).encode()
+        host, port = base.removeprefix("http://").split(":")
+        for route in ("/v1/cve", "/v1/cve/CVE-2025-0001", "/v1/blocks/0", "/v1/audit", "/v1/events", "/x"):
+            # a raw socket, read to the close, so a body sent after HEAD shows
+            with socket.create_connection((host, int(port)), timeout=30) as sock:
+                sock.sendall(f"{method} {route} HTTP/1.0\r\n\r\n".encode())
+                data = b"".join(iter(lambda: sock.recv(65536), b""))
+            head, _, body = data.partition(b"\r\n\r\n")
+            status_line, *header_lines = head.decode().split("\r\n")
+            headers = dict(line.split(": ", 1) for line in header_lines)
+            assert status_line.split()[1] == "405", (method, route)
+            assert headers["Content-Type"] == "application/json"
+            assert headers["Content-Length"] == str(len(expected))
+            assert body == (b"" if method == "HEAD" else expected)
 
     def test_request_storm_leaves_ledger_bytes_untouched(self, service):
         base, path, net = service
