@@ -19,8 +19,9 @@ from .decision import DecisionInputs, decide_architecture
 from .errors import LedgerError
 from .identity import ROLE_CNA, ROLE_GOVERNANCE, ROLE_READER
 from .ledger import replay, state_hash
-from .node import CONFIG_FILE, LEDGER_FILE, Node, NodeConfig
+from .node import LEDGER_FILE, Node, load_data_dir, read_json_file
 from .records import CveStatus
+# read_chain is looked up here by the benchmark's span tracer
 from .storage import audit_file, read_chain
 
 DEFAULT_DATA_DIR = os.environ.get("CVELEDGER_DATA_DIR", "./cveledger-data")
@@ -134,25 +135,16 @@ def build_parser() -> _Parser:
 
 
 def _load_readonly(data_dir: Path):
-    """Chain + state for read-only commands; tolerates a crash tail without
-    taking the writer lock or touching the file."""
-    config_path = data_dir / CONFIG_FILE
-    if not config_path.exists():
-        raise LedgerError(f"not an initialized data dir: {data_dir}")
-    config = NodeConfig.from_dict(json.loads(config_path.read_text(encoding="utf-8")))
-    chain = read_chain(data_dir / LEDGER_FILE, recover=True, repair=False)
-    if not chain:
-        raise LedgerError(f"ledger file has no genesis block: {data_dir}")
+    """Config, chain and state for read-only commands; tolerates a crash tail
+    without taking the writer lock or touching the file."""
+    config, chain = load_data_dir(data_dir)
     return config, chain, replay(chain)
 
 
-def _load_json_file(path: str):
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise LedgerError(f"file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise LedgerError(f"bad JSON in {path}: {exc}")
+def _merge_meta(candidates: list) -> list:
+    if not all(isinstance(c, dict) and isinstance(c.get("cveID"), str) for c in candidates):
+        raise TypeError("each entry must be an object with a string cveID")
+    return candidates
 
 
 def _run(args) -> int:
@@ -257,8 +249,7 @@ def _run(args) -> int:
             _emit(node.revoke(args.cna))
             return 0
         if command == "submit":
-            record = _load_json_file(args.record_json)
-            _emit(node.submit(record, embargo=args.embargo))
+            _emit(node.submit(read_json_file(args.record_json), embargo=args.embargo))
             return 0
         if command == "status":
             _emit(node.update_status(args.cve_id, args.new_status, caller=args.caller))
@@ -270,8 +261,8 @@ def _run(args) -> int:
             _emit(node.dispute(args.cve_id, args.reason, external_ref=args.ref, caller=args.caller))
             return 0
         if command == "merge":
-            candidates = _load_json_file(args.meta)
-            meta_ids = {c.get("cveID") for c in candidates}
+            candidates = read_json_file(args.meta, list, _merge_meta)
+            meta_ids = {c["cveID"] for c in candidates}
             if meta_ids != set(args.ids):
                 raise LedgerError(
                     f"merge ids {sorted(set(args.ids))} do not match --meta entries {sorted(meta_ids)}"
@@ -279,7 +270,7 @@ def _run(args) -> int:
             _emit(node.merge(candidates, caller=args.caller))
             return 0
         if command == "split":
-            _emit(node.split(args.cve_id, _load_json_file(args.candidates), caller=args.caller))
+            _emit(node.split(args.cve_id, read_json_file(args.candidates, object), caller=args.caller))
             return 0
         if command == "partialdup":
             _emit(node.partial_duplicate(args.keep, args.revise, caller=args.caller))

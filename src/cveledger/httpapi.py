@@ -18,7 +18,7 @@ from urllib.parse import parse_qs, urlparse
 from .canonical import to_canonical_bytes, to_canonical_json
 from .chaincode import OP_SUBMIT, WorldState, content_commitment, is_content_withheld
 from .errors import MalformedId, YearOutOfRange
-from .ledger import Block, query_public, record_view, verify_chain
+from .ledger import Block, query_public, record_view
 from .records import CveStatus, parse_cve_id
 from .storage import audit_file
 
@@ -53,17 +53,16 @@ def redacted_block_dict(block: Block, state: WorldState) -> dict:
 
 
 class QueryService:
-    """Holds the snapshot the handlers serve from."""
+    """Holds the snapshot the handlers serve from, and the ledger file that
+    `/v1/audit` audits."""
 
-    def __init__(self, state: WorldState, chain: list[Block], ledger_path: Path | None = None):
+    def __init__(self, state: WorldState, chain: list[Block], ledger_path: Path):
         self.state = state
         self.chain = chain
-        self.ledger_path = Path(ledger_path) if ledger_path is not None else None
+        self.ledger_path = Path(ledger_path)
 
     def audit_report(self) -> dict:
-        if self.ledger_path is not None:
-            return audit_file(self.ledger_path).to_dict()
-        return verify_chain(self.chain).to_dict()
+        return audit_file(self.ledger_path).to_dict()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -173,11 +172,7 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 def serve_queries(
-    state: WorldState,
-    chain: list[Block],
-    *,
-    port: int = 8440,
-    ledger_path: Path | None = None,
+    state: WorldState, chain: list[Block], *, ledger_path: Path, port: int = 8440
 ) -> ThreadingHTTPServer:
     """Start the read-only query service; caller owns the returned server
     (serve_forever / shutdown)."""
@@ -186,8 +181,8 @@ def serve_queries(
     return server
 
 
-def serve_in_thread(state, chain, *, port=0, ledger_path=None) -> tuple[ThreadingHTTPServer, int]:
-    server = serve_queries(state, chain, port=port, ledger_path=ledger_path)
+def serve_in_thread(state, chain, *, ledger_path, port=0) -> tuple[ThreadingHTTPServer, int]:
+    server = serve_queries(state, chain, ledger_path=ledger_path, port=port)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, server.server_address[1]

@@ -25,7 +25,7 @@ from .chaincode import (
     execute_transaction,
     is_content_withheld,
 )
-from .errors import ClockRegression, LedgerError, PolicyUnsatisfied
+from .errors import ClockRegression, LedgerCorrupt, LedgerError, PolicyUnsatisfied
 from .identity import Certificate, KeyPair, sign_payload, verify_payload
 from .records import CveRecord, CveStatus
 from . import corrections  # noqa: F401  (adds the correction ops to chaincode.OPS)
@@ -339,7 +339,7 @@ def _onboarded_key(tx: Transaction, ca_public_key: str) -> tuple[str, str] | Non
 
 
 def _verify_block(
-    block: Block, ctx: _VerifyContext, trust: TrustAnchors | None
+    block: Block, ctx: _VerifyContext, trust: TrustAnchors
 ) -> tuple[str | None, dict[str, str]]:
     """Returns (reason or None, caller keys exported by this block)."""
     if block.height == 0:
@@ -363,11 +363,7 @@ def _verify_block(
         # the genesis transaction is the trust anchor and carries no signature
         if len(block.txs) != 1 or block.txs[0].payload["op"] != OP_GENESIS:
             return SIGNATURE_INVALID, {}
-        anchors = trust if trust is not None else TrustAnchors.from_genesis(block)
-        exported = {
-            name: cert.public_key for name, cert in anchors.governance_certs.items()
-        }
-        return None, exported
+        return None, {name: cert.public_key for name, cert in trust.governance_certs.items()}
 
     exported: dict[str, str] = {}
     for tx in block.txs:
@@ -380,7 +376,7 @@ def _verify_block(
             or not verify_payload(key, payload_bytes, bytes.fromhex(tx.caller_signature))
         ):
             return SIGNATURE_INVALID, {}
-        if trust is not None and not check_endorsements(tx, trust):
+        if not check_endorsements(tx, trust):
             return ENDORSEMENT_INSUFFICIENT, {}
         if tx.payload["op"] == OP_ONBOARD:
             entry = _onboarded_key(tx, ctx.ca_public_key)
@@ -389,28 +385,13 @@ def _verify_block(
     return None, exported
 
 
-def verify_chain(chain: list[Block], trust: TrustAnchors | None = None) -> AuditReport:
-    """Recompute every hash, linkage, signature, endorsement, and the clock
-    monotonicity; report the first violation by height."""
-    if not chain:
-        return AuditReport(valid=False, first_bad_height=0, reason=HASH_MISMATCH)
-    if trust is None:
-        try:
-            trust = TrustAnchors.from_genesis(chain[0])
-        except Exception:
-            return AuditReport(valid=False, first_bad_height=0, reason=HASH_MISMATCH)
-    ctx = _VerifyContext()
-    ctx.ca_public_key = trust.ca_public_key
-    for index, block in enumerate(chain):
-        if block.height != index:
-            return AuditReport(valid=False, first_bad_height=index, reason=HASH_MISMATCH)
-        reason, exported = _verify_block(block, ctx, trust)
-        if reason is not None:
-            return AuditReport(valid=False, first_bad_height=index, reason=reason)
-        ctx.caller_keys.update(exported)
-        ctx.prev_hash = block.block_hash
-        ctx.prev_time = block.block_time
-    return AuditReport(valid=True)
+def verify_chain(chain: list[Block]) -> AuditReport:
+    """The strict file audit of `chain` written out as block lines: every
+    hash, link, signature, endorsement and the clock's monotonicity are
+    recomputed, and the first violation is reported by height."""
+    from .storage import ChainAuditor, block_line  # storage imports this module
+
+    return ChainAuditor().audit_bytes(b"".join(block_line(b) for b in chain))
 
 
 def apply_block(state: WorldState, block: Block) -> list:
@@ -427,11 +408,24 @@ def apply_block(state: WorldState, block: Block) -> list:
     return events
 
 
+def commit_block(state: WorldState, tip_hash: str, block: Block) -> str:
+    """Apply `block` if it links to the tip hash `tip_hash`; the new tip hash.
+    A block that does not link raises LedgerCorrupt with its height and
+    leaves the state as it was."""
+    if block.prev_hash != tip_hash:
+        raise LedgerCorrupt(f"block {block.height} does not link to its predecessor", height=block.height)
+    apply_block(state, block)
+    return block.block_hash
+
+
 def replay(chain: list[Block]) -> WorldState:
-    """Fold chaincode execution over the whole chain, block by block."""
-    state = WorldState()
+    """Fold `commit_block` over the chain from the zero hash: the one path
+    from blocks to state, so every reader refuses a broken link at its
+    height. Links are all it checks; hashes and signatures are recomputed
+    only by `verify_chain` and the file auditor."""
+    state, tip = WorldState(), ZERO_HASH
     for block in chain:
-        apply_block(state, block)
+        tip = commit_block(state, tip, block)
     return state
 
 

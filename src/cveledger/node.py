@@ -20,7 +20,7 @@ from .chaincode import OP_CHECK_EMBARGO, OP_UPDATE_STATUS
 from .corrections import OP_DISPUTE, OP_MERGE, OP_PARTIAL_DUP, OP_REJECT, OP_SPLIT
 from .errors import LedgerError
 from .identity import Certificate, CertificateAuthority, KeyPair, RevocationList, derive_keypair
-from .ledger import EndorsementPolicy, state_hash
+from .ledger import Block, EndorsementPolicy, state_hash
 from .network import DEFAULT_GOVERNANCE, OrdererConfig, SimulatedNetwork, SubmitResult, build_consortium
 from .records import parse_cve_id
 # audit_file is looked up here by the benchmark's span tracer
@@ -56,6 +56,9 @@ class NodeConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "NodeConfig":
+        for name in ("caKeyPath", "identityKeyPath", "governanceId"):
+            if not isinstance(obj.get(name, ""), str):
+                raise TypeError(f"{name} must be a string")
         return cls(
             orderer=OrdererConfig.from_dict(obj.get("ordererConfig", {})),
             policy=EndorsementPolicy.from_dict(obj.get("endorsementPolicy", {})),
@@ -71,8 +74,40 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_text(to_canonical_json(obj) + "\n", encoding="utf-8")
 
 
-def _read_json(path: Path) -> dict:
-    return json.loads(path.read_text(encoding="utf-8"))
+def read_json_file(path: str | Path, kind: type = dict, parse=None):
+    """The JSON value of type `kind` in `path`, passed through `parse` when
+    one is given. A missing file, bad JSON, another type, or a value that
+    `parse` cannot take raises a LedgerError naming the file."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(obj, kind):
+            raise TypeError(f"expected a JSON {kind.__name__}, got {type(obj).__name__}")
+        return obj if parse is None else parse(obj)
+    except FileNotFoundError:
+        raise LedgerError(f"file not found: {path}") from None
+    except (AttributeError, KeyError, TypeError, ValueError, LedgerError) as exc:
+        raise LedgerError(f"malformed {path}: {exc!r}") from None
+
+
+def _key_pair(obj: dict) -> KeyPair:
+    return KeyPair.from_seed_hex(obj["seedHex"])
+
+
+def load_data_dir(data_dir: Path, lock: DataDirLock | None = None) -> tuple[NodeConfig, list[Block]]:
+    """The config and chain of an initialized data dir, loaded the same way
+    for `Node` and the CLI's readers. A crash tail is dropped; given the
+    writer's `lock` (taken only once the dir is known to be initialized),
+    it is also repaired in the file."""
+    config_path = data_dir / CONFIG_FILE
+    if not config_path.exists():
+        raise LedgerError(f"not an initialized data dir: {data_dir}")
+    if lock is not None:
+        lock.acquire()
+    config = read_json_file(config_path, parse=NodeConfig.from_dict)
+    chain = read_chain(data_dir / LEDGER_FILE, recover=True, repair=lock is not None)
+    if not chain:
+        raise LedgerError(f"ledger file has no genesis block: {data_dir}")
+    return config, chain
 
 
 def _refusal_error(result: SubmitResult) -> LedgerError:
@@ -158,41 +193,25 @@ class Node:
         truncated tail if a previous append was interrupted). `net.keys`
         holds every key in `keys/` but the CA's."""
         data_dir = Path(data_dir)
-        config_path = data_dir / CONFIG_FILE
-        if not config_path.exists():
-            raise LedgerError(f"not an initialized data dir: {data_dir}")
-        lock = DataDirLock(data_dir).acquire()
+        lock = DataDirLock(data_dir)
         try:
-            config = NodeConfig.from_dict(_read_json(config_path))
-            crl = RevocationList.from_dict(_read_json(data_dir / CRL_FILE))
-
-            keys: dict[str, KeyPair] = {}
-            for key_file in sorted((data_dir / KEYS_DIR).glob("*.json")):
-                if key_file.name == "ca.json":
-                    continue
-                obj = _read_json(key_file)
-                keys[key_file.stem] = KeyPair.from_seed_hex(obj["seedHex"])
-            certs: dict[str, Certificate] = {}
-            for cert_file in sorted((data_dir / CERTS_DIR).glob("*.json")):
-                certs[cert_file.stem] = Certificate.from_dict(_read_json(cert_file))
-
-            ca_obj = _read_json(data_dir / config.ca_key_path)
-            live = {
-                name: cert
-                for name, cert in certs.items()
-                if cert.serial not in crl.revoked_serials
+            config, chain = load_data_dir(data_dir, lock)
+            crl = read_json_file(data_dir / CRL_FILE, parse=RevocationList.from_dict)
+            keys = {
+                path.stem: read_json_file(path, parse=_key_pair)
+                for path in sorted((data_dir / KEYS_DIR).glob("*.json"))
+                if path.name != "ca.json"
             }
-            ca = CertificateAuthority(
-                KeyPair.from_seed_hex(ca_obj["seedHex"]),
-                next_serial=int(ca_obj.get("nextSerial", 1)),
-                live=live,
-                crl=crl,
+            certs = {
+                path.stem: read_json_file(path, parse=Certificate.from_dict)
+                for path in sorted((data_dir / CERTS_DIR).glob("*.json"))
+            }
+            live = {name: cert for name, cert in certs.items() if cert.serial not in crl.revoked_serials}
+            ca_key, next_serial = read_json_file(
+                data_dir / config.ca_key_path, parse=lambda o: (_key_pair(o), int(o.get("nextSerial", 1)))
             )
-            chain = read_chain(data_dir / LEDGER_FILE, recover=True)
-            if not chain:
-                raise LedgerError(f"ledger file has no genesis block: {data_dir}")
             net = SimulatedNetwork.from_materials(
-                ca=ca,
+                ca=CertificateAuthority(ca_key, next_serial=next_serial, live=live, crl=crl),
                 keys=keys,
                 certs=certs,
                 chain=chain,
@@ -257,7 +276,7 @@ class Node:
         }
 
     def onboard(self, cna: str, cert_path: str | Path) -> dict:
-        cert = Certificate.from_dict(_read_json(Path(cert_path)))
+        cert = read_json_file(cert_path, parse=Certificate.from_dict)
         _write_json(self.data_dir / CERTS_DIR / f"{cert.subject}.json", cert.to_dict())
         self.net.certs[cert.subject] = cert
         return self._append(self.net.onboard(cna, cert, self.config.governance_id))
@@ -277,7 +296,7 @@ class Node:
         if embargo is not None:
             record["embargoUntil"] = int(embargo)
         caller = record.get("submitterCNA", "")
-        if caller not in self.net.keys:
+        if not isinstance(caller, str) or caller not in self.net.keys:
             raise errors.BadCertificate(f"no local signing key for {caller!r}; run issue first")
         embargoed = record.get("embargoUntil") is not None
         out = self._append(self.net.submit(record, (salt or secrets.token_hex(16)) if embargoed else None))
@@ -333,8 +352,7 @@ class Node:
     def replay_hash(self) -> str:
         from .ledger import replay
 
-        chain = read_chain(self.data_dir / LEDGER_FILE, recover=True)
-        return state_hash(replay(chain))
+        return state_hash(replay(load_data_dir(self.data_dir)[1]))
 
     def memory_state_hash(self) -> str:
         return state_hash(self.state)

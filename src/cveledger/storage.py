@@ -61,8 +61,19 @@ def _parse_line(line: bytes) -> Block:
     return Block.from_dict(obj)
 
 
+def _split_lines(data: bytes) -> tuple[list[bytes], bytes]:
+    """The newline-terminated lines of `data`, and the bytes after the last
+    newline (the whole of `data` when it has none)."""
+    complete, sep, tail = data.rpartition(b"\n")
+    if not sep:
+        return [], data
+    return (complete.split(b"\n") if complete else []), tail
+
+
 def read_chain(path: Path, *, recover: bool = False, repair: bool | None = None) -> list[Block]:
-    """Load and structurally decode the chain.
+    """Load and structurally decode the chain. Decoding is all it checks:
+    links are checked by `ledger.replay`, hashes and signatures only by the
+    auditor.
 
     With recover=True a newline-less tail that fails to decode is dropped;
     otherwise any undecodable content raises LedgerCorrupt with the
@@ -72,11 +83,7 @@ def read_chain(path: Path, *, recover: bool = False, repair: bool | None = None)
     if repair is None:
         repair = recover
     data = Path(path).read_bytes()
-    complete, sep, tail = data.rpartition(b"\n")
-    lines = complete.split(b"\n") if complete else []
-    if not sep and tail:
-        # no newline anywhere: the whole file is one (possibly partial) line
-        lines, tail = [], data
+    lines, tail = _split_lines(data)
     blocks: list[Block] = []
     for index, line in enumerate(lines):
         try:
@@ -98,9 +105,8 @@ def read_chain(path: Path, *, recover: bool = False, repair: bool | None = None)
                 len(tail),
             )
             if repair:
-                truncate_at = len(complete) + len(sep)
                 with open(path, "r+b") as fh:
-                    fh.truncate(truncate_at)
+                    fh.truncate(len(data) - len(tail))
                     fh.flush()
                     os.fsync(fh.fileno())
             return blocks
@@ -128,24 +134,18 @@ class ChainAuditor:
     bit-flip sweeps tractable without weakening any check.
     """
 
-    def __init__(self, trust: TrustAnchors | None = None):
-        self._trust = trust
+    def __init__(self) -> None:
         self._memo: dict[tuple, tuple] = {}
 
     def audit_bytes(self, data: bytes) -> AuditReport:
-        complete, sep, tail = data.rpartition(b"\n")
-        lines = complete.split(b"\n") if complete else []
-        if not sep and tail:
-            lines, tail = [], data
+        lines, tail = _split_lines(data)
         if tail:
             return AuditReport(valid=False, first_bad_height=len(lines), reason=HASH_MISMATCH)
         if not lines:
             return AuditReport(valid=False, first_bad_height=0, reason=HASH_MISMATCH)
 
         ctx = _VerifyContext()
-        trust = self._trust
-        if trust is not None:
-            ctx.ca_public_key = trust.ca_public_key
+        trust = None  # read from the genesis line
         for index, line in enumerate(lines):
             key = (
                 index,
@@ -158,11 +158,11 @@ class ChainAuditor:
             if hit is None:
                 hit = self._verify_line(index, line, ctx, trust)
                 self._memo[key] = hit
-            reason, exported, block_hash, block_time, genesis_trust = hit
+            reason, exported, block_hash, block_time, line_trust = hit
             if reason is not None:
                 return AuditReport(valid=False, first_bad_height=index, reason=reason)
-            if index == 0 and trust is None:
-                trust = genesis_trust
+            if index == 0:
+                trust = line_trust
                 ctx.ca_public_key = trust.ca_public_key
             ctx.caller_keys.update(exported)
             ctx.prev_hash = block_hash
@@ -176,24 +176,21 @@ class ChainAuditor:
             return HASH_MISMATCH, {}, None, None, None
         if block.height != index:
             return HASH_MISMATCH, {}, None, None, None
-        genesis_trust = None
-        if index == 0 and trust is None:
+        if index == 0:
             try:
-                genesis_trust = TrustAnchors.from_genesis(block)
+                trust = TrustAnchors.from_genesis(block)
             except Exception:
                 return HASH_MISMATCH, {}, None, None, None
-            trust = genesis_trust
-            ctx.ca_public_key = trust.ca_public_key
         reason, exported = _verify_block(block, ctx, trust)
-        return reason, exported, block.block_hash, block.block_time, genesis_trust
+        return reason, exported, block.block_hash, block.block_time, trust
 
     def audit_file(self, path: Path) -> AuditReport:
         return self.audit_bytes(Path(path).read_bytes())
 
 
-def audit_file(path: Path, trust: TrustAnchors | None = None) -> AuditReport:
+def audit_file(path: Path) -> AuditReport:
     """One-shot strict audit of a ledger file."""
-    return ChainAuditor(trust).audit_file(path)
+    return ChainAuditor().audit_file(path)
 
 
 class DataDirLock:

@@ -198,7 +198,7 @@ def test_open_applies_each_block_once(tmp_path, monkeypatch):
         calls.append(block.height)
         return apply_block(state, block)
 
-    monkeypatch.setattr(network, "apply_block", counting)
+    monkeypatch.setattr("cveledger.ledger.apply_block", counting)
     with Node.open(data_dir) as node:
         assert len(node.net.chain) == 7 and len(node.net.peers) == 3
         assert calls == list(range(7))
