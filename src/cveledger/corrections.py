@@ -81,14 +81,6 @@ class MergeCandidate:
             publicized_at=_int(obj["publicizedAt"], "publicizedAt"),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "cveID": str(self.cve_id),
-            "referenceCount": self.reference_count,
-            "authority": self.authority.name,
-            "publicizedAt": self.publicized_at,
-        }
-
 
 @dataclass(frozen=True)
 class SplitCandidate:
@@ -107,15 +99,6 @@ class SplitCandidate:
             version_breadth=_int(obj["versionBreadth"], "versionBreadth"),
             mention_order=_int(obj["mentionOrder"], "mentionOrder"),
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "descriptor": self.descriptor,
-            "associationFrequency": self.association_frequency,
-            "severity": self.severity.to_dict(),
-            "versionBreadth": self.version_breadth,
-            "mentionOrder": self.mention_order,
-        }
 
 
 def _keep_best(survivors: list, key, *, largest: bool) -> list:

@@ -102,26 +102,47 @@ def _u64(value: int) -> bytes:
     return struct.pack(">Q", value)
 
 
+def _signing_bytes(subject: str, role: str, public_key: str, serial: int, issued_at: int) -> bytes:
+    """Length-prefixed (subject, role, publicKey, serial, issuedAt)."""
+    return b"".join(
+        (
+            _lp(subject.encode("utf-8")),
+            _lp(role.encode("utf-8")),
+            _lp(bytes.fromhex(public_key)),
+            _lp(_u64(serial)),
+            _lp(_u64(issued_at)),
+        )
+    )
+
+
 @dataclass(frozen=True)
 class Certificate:
-    subject: str
-    role: str
-    public_key: str  # 64 hex chars (32-byte Ed25519 key)
-    serial: int
-    issued_at: int
-    ca_signature: str  # 128 hex chars, over signing_bytes()
+    """Construction raises MalformedKey for any field that `signing_bytes`
+    or `cert_hash` could not encode, so every certificate is signable."""
+
+    subject: str  # a valid participant id
+    role: str  # one of ROLES
+    public_key: str  # 64 lowercase hex chars (32-byte Ed25519 key)
+    serial: int  # in [0, 2**64)
+    issued_at: int  # in [0, 2**64)
+    ca_signature: str  # 128 lowercase hex chars, over signing_bytes()
+
+    def __post_init__(self) -> None:
+        if not is_valid_participant_id(self.subject):
+            raise MalformedKey(f"bad certificate subject: {self.subject!r}")
+        if self.role not in ROLES:
+            raise MalformedKey(f"unknown role: {self.role!r}")
+        if not is_hex_digest(self.public_key, 64) or not is_hex_digest(self.ca_signature, 128):
+            raise MalformedKey("publicKey and caSignature must be 64 and 128 lowercase hex chars")
+        if not all(type(n) is int and 0 <= n < 2**64 for n in (self.serial, self.issued_at)):  # no bools
+            raise MalformedKey("serial and issuedAt must be integers in [0, 2**64)")
 
     def signing_bytes(self) -> bytes:
-        """Length-prefixed (subject, role, publicKey, serial, issuedAt)."""
-        return b"".join(
-            (
-                _lp(self.subject.encode("utf-8")),
-                _lp(self.role.encode("utf-8")),
-                _lp(bytes.fromhex(self.public_key)),
-                _lp(_u64(self.serial)),
-                _lp(_u64(self.issued_at)),
-            )
-        )
+        return _signing_bytes(self.subject, self.role, self.public_key, self.serial, self.issued_at)
+
+    def signed_by(self, ca_public_key: str) -> bool:
+        """Whether the CA key signed `signing_bytes()`: the one CA-signature check."""
+        return verify_payload(ca_public_key, self.signing_bytes(), bytes.fromhex(self.ca_signature))
 
     def cert_hash(self) -> str:
         """Fingerprint over the full certificate, signature included."""
@@ -140,17 +161,16 @@ class Certificate:
     @classmethod
     def from_dict(cls, obj: dict) -> "Certificate":
         try:
-            cert = cls(
+            return cls(
                 subject=obj["subject"],
                 role=obj["role"],
                 public_key=obj["publicKey"],
-                serial=int(obj["serial"]),
-                issued_at=int(obj["issuedAt"]),
+                serial=obj["serial"],
+                issued_at=obj["issuedAt"],
                 ca_signature=obj["caSignature"],
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedKey(f"bad certificate object: {exc}")
-        return cert
+        except (KeyError, TypeError) as exc:
+            raise MalformedKey(f"bad certificate object: {exc!r}") from None
 
 
 @dataclass(frozen=True)
@@ -188,9 +208,7 @@ def verify_certificate(
 
     Never raises; failures return (False, BadSignature | Revoked).
     """
-    if not is_hex_digest(cert.ca_signature, 128) or not is_hex_digest(cert.public_key, 64):
-        return False, BAD_SIGNATURE
-    if not verify_payload(ca_public_key, cert.signing_bytes(), bytes.fromhex(cert.ca_signature)):
+    if not cert.signed_by(ca_public_key):
         return False, BAD_SIGNATURE
     if cert.serial in crl.revoked_serials:
         return False, REVOKED
@@ -232,36 +250,19 @@ class CertificateAuthority:
         require_participant_id(subject)
         if role not in ROLES:
             raise MalformedKey(f"unknown role: {role!r}")
-        if not is_hex_digest(public_key, 64):
-            raise MalformedKey("public key must be 64 lowercase hex chars")
         try:
             Ed25519PublicKey.from_public_bytes(bytes.fromhex(public_key))
-        except ValueError as exc:
-            raise MalformedKey(str(exc))
+        except (TypeError, ValueError) as exc:
+            raise MalformedKey(f"bad public key: {exc}")
         with self._lock:
             live = self._live.get(subject)
             if live is not None and live.serial not in self.crl.revoked_serials:
                 raise DuplicateSubject(f"live certificate already issued for {subject}")
-            serial = self._next_serial
-            self._next_serial += 1
+            # the serial is used up only once the certificate invariant holds
             stamp = int(time.time()) if issued_at is None else int(issued_at)
-            unsigned = Certificate(
-                subject=subject,
-                role=role,
-                public_key=public_key,
-                serial=serial,
-                issued_at=stamp,
-                ca_signature="",
-            )
-            sig = sign_payload(self.key, unsigned.signing_bytes())
-            cert = Certificate(
-                subject=subject,
-                role=role,
-                public_key=public_key,
-                serial=serial,
-                issued_at=stamp,
-                ca_signature=sig.hex(),
-            )
+            fields = (subject, role, public_key, self._next_serial, stamp)
+            cert = Certificate(*fields, ca_signature=sign_payload(self.key, _signing_bytes(*fields)).hex())
+            self._next_serial += 1
             self._live[subject] = cert
             return cert
 

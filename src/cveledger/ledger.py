@@ -115,6 +115,8 @@ class Transaction:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Transaction":
+        if not isinstance(obj, dict):
+            raise ValueError("a transaction must be a JSON object")
         payload = obj["payload"]
         if not isinstance(payload, dict) or set(payload) != {"args", "caller", "clockNow", "op"}:
             raise ValueError("payload must carry exactly {args, caller, clockNow, op}")
@@ -228,18 +230,29 @@ class TrustAnchors:
 
     @classmethod
     def from_genesis(cls, genesis: Block) -> "TrustAnchors":
-        args = genesis.txs[0].payload["args"]
-        peers = args.get("peers", {})
-        return cls(
-            ca_public_key=args.get("caPublicKey", ""),
-            governance_certs={
-                name: Certificate.from_dict(cert)
-                for name, cert in args.get("governance", {}).items()
-            },
-            peer_keys={pid: p["publicKey"] for pid, p in peers.items()},
-            peer_orgs={pid: p["org"] for pid, p in peers.items()},
-            policy=EndorsementPolicy.from_dict(args.get("policy", {})),
-        )
+        """The anchors in the genesis transaction's args. Anchors of the wrong
+        shape (peers, governance or policy not an object, a peer without a
+        string org and publicKey, a malformed certificate or policy) raise
+        LedgerCorrupt at height 0."""
+        try:
+            args = genesis.txs[0].payload["args"]
+            peers = args.get("peers", {})
+            peer_keys = {pid: p["publicKey"] for pid, p in peers.items()}
+            peer_orgs = {pid: p["org"] for pid, p in peers.items()}
+            if not all(isinstance(v, str) for v in (*peer_keys.values(), *peer_orgs.values())):
+                raise TypeError("a peer's org and publicKey must be strings")
+            return cls(
+                ca_public_key=args.get("caPublicKey", ""),
+                governance_certs={
+                    name: Certificate.from_dict(cert)
+                    for name, cert in args.get("governance", {}).items()
+                },
+                peer_keys=peer_keys,
+                peer_orgs=peer_orgs,
+                policy=EndorsementPolicy.from_dict(args.get("policy", {})),
+            )
+        except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError, LedgerError) as exc:
+            raise LedgerCorrupt(f"malformed trust anchors at height 0: {exc!r}", height=0) from None
 
 
 def make_genesis_block(
@@ -324,18 +337,11 @@ def _onboarded_key(tx: Transaction, ca_public_key: str) -> tuple[str, str] | Non
     transaction. Whether the onboarding ultimately passed its governance
     guards is replay's business, not the signature verifier's: a CA-signed
     certificate authenticates its subject either way."""
-    raw = tx.payload["args"].get("certificate")
-    if not isinstance(raw, dict):
-        return None
     try:
-        cert = Certificate.from_dict(raw)
+        cert = Certificate.from_dict(tx.payload["args"].get("certificate"))
     except LedgerError:
         return None
-    if is_hex_digest(cert.ca_signature, 128) and verify_payload(
-        ca_public_key, cert.signing_bytes(), bytes.fromhex(cert.ca_signature)
-    ):
-        return cert.subject, cert.public_key
-    return None
+    return (cert.subject, cert.public_key) if cert.signed_by(ca_public_key) else None
 
 
 def _verify_block(

@@ -276,10 +276,14 @@ class Node:
         }
 
     def onboard(self, cna: str, cert_path: str | Path) -> dict:
+        """Onboard `cna` with the certificate in `cert_path`. The certificate
+        is kept (in `certs/` and `net.certs`) only once its block commits,
+        so a refused onboarding leaves the data dir as it was."""
         cert = read_json_file(cert_path, parse=Certificate.from_dict)
+        out = self._append(self.net.onboard(cna, cert, self.config.governance_id))
         _write_json(self.data_dir / CERTS_DIR / f"{cert.subject}.json", cert.to_dict())
         self.net.certs[cert.subject] = cert
-        return self._append(self.net.onboard(cna, cert, self.config.governance_id))
+        return out
 
     def revoke(self, cna: str) -> dict:
         before = self.net.crl.version

@@ -55,6 +55,8 @@ def write_chain_file(path: Path, chain: list[Block]) -> None:
 
 
 def _parse_line(line: bytes) -> Block:
+    """The block on `line`. Bytes that are not a block raise KeyError or
+    ValueError (a UnicodeDecodeError is one)."""
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("block line must be a JSON object")
@@ -88,13 +90,13 @@ def read_chain(path: Path, *, recover: bool = False, repair: bool | None = None)
     for index, line in enumerate(lines):
         try:
             blocks.append(_parse_line(line))
-        except (ValueError, KeyError, UnicodeDecodeError) as exc:
+        except (KeyError, ValueError) as exc:
             raise LedgerCorrupt(f"undecodable block at height {index}: {exc}", height=index)
     if tail:
         index = len(lines)
         try:
             block = _parse_line(tail)
-        except (ValueError, KeyError, UnicodeDecodeError) as exc:
+        except (KeyError, ValueError) as exc:
             if not recover:
                 raise LedgerCorrupt(
                     f"partial trailing line at height {index}: {exc}", height=index
@@ -172,14 +174,14 @@ class ChainAuditor:
     def _verify_line(self, index, line, ctx, trust):
         try:
             block = _parse_line(line)
-        except (ValueError, KeyError, UnicodeDecodeError):
+        except (KeyError, ValueError):
             return HASH_MISMATCH, {}, None, None, None
         if block.height != index:
             return HASH_MISMATCH, {}, None, None, None
         if index == 0:
             try:
                 trust = TrustAnchors.from_genesis(block)
-            except Exception:
+            except LedgerCorrupt:
                 return HASH_MISMATCH, {}, None, None, None
         reason, exported = _verify_block(block, ctx, trust)
         return reason, exported, block.block_hash, block.block_time, trust
