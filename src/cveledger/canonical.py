@@ -36,6 +36,16 @@ def hash_obj(obj: Any) -> str:
     return sha256_hex(to_canonical_bytes(obj))
 
 
+def typed(value: Any, kind, name: str) -> Any:
+    """`value` if it is an instance of `kind` (a type or tuple of types) and
+    not a bool, else a ValueError naming the field. Decoders read every JSON
+    int, str, list and dict field through this, so nothing decoded is
+    coerced; each decode boundary turns a ValueError into its refusal."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} may not be a {type(value).__name__}")
+    return value
+
+
 def is_hex_digest(value: Any, length: int = 64) -> bool:
     """True only for lowercase hex of exactly the given length.
 

@@ -22,7 +22,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable
 
-from .canonical import hash_obj, is_hex_digest
+from .canonical import hash_obj, is_hex_digest, typed
 from .errors import (
     AlreadyAuthorized,
     BadCertificate,
@@ -460,20 +460,13 @@ def _bad_args(message: str) -> SchemaViolation:
     return SchemaViolation([Violation("BAD_ARGS", "args", message)])
 
 
-def _typed(value, types, name: str):
-    """`value` if it is an instance of `types`; a decode error otherwise."""
-    if not isinstance(value, types):
-        raise TypeError(f"{name} may not be a {type(value).__name__}")
-    return value
-
-
 def _decode_genesis(args: dict) -> tuple:
     # only checks that fail as BAD_ARGS, like the height-0 guard; parsing the
     # certificates waits for that guard, so a late genesis stays BAD_ARGS
     ca_key = args.get("caPublicKey", "")
     if not is_hex_digest(ca_key, 64):
         raise _bad_args("genesis missing caPublicKey")
-    return ca_key, list(args.get("governance", {}).items())
+    return ca_key, list(typed(args.get("governance", {}), dict, "governance").items())
 
 
 def _run_genesis(state: WorldState, values: tuple, caller: str, clock: ChainClock) -> list[Event]:
@@ -496,7 +489,7 @@ def _run_genesis(state: WorldState, values: tuple, caller: str, clock: ChainCloc
 OPS: dict[str, tuple[Callable, Callable]] = {
     OP_GENESIS: (_decode_genesis, _run_genesis),
     OP_SUBMIT: (
-        lambda args: (record_from_dict(args["record"]), _typed(args.get("salt"), (str, type(None)), "salt")),
+        lambda args: (record_from_dict(args["record"]), typed(args.get("salt"), (str, type(None)), "salt")),
         lambda state, v, caller, clock: [submit_cve(state, v[0], caller, clock, salt=v[1])[1]],
     ),
     OP_UPDATE_STATUS: (
@@ -512,7 +505,7 @@ OPS: dict[str, tuple[Callable, Callable]] = {
         lambda state, v, caller, clock: [onboard_cna(state, v[0], v[1], caller, certificate=v[2])[1]],
     ),
     OP_REVOKE: (
-        lambda args: _typed(args["cnaID"], str, "cnaID"),
+        lambda args: typed(args["cnaID"], str, "cnaID"),
         lambda state, cna_id, caller, clock: [revoke_cna(state, cna_id, caller)[1]],
     ),
 }

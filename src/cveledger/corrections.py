@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
+from .canonical import typed
 from .chaincode import (
     OPS,
     ChainClock,
@@ -18,7 +19,6 @@ from .chaincode import (
     WorldState,
     _bad_args,
     _require_record,
-    _typed,
 )
 from .errors import (
     DuplicateCandidates,
@@ -58,13 +58,6 @@ class Authority(IntEnum):
     VENDOR = 2
 
 
-def _int(value, name: str) -> int:
-    """`value` if it is an int and not a bool; a decode error otherwise."""
-    if isinstance(value, bool):
-        raise TypeError(f"{name} may not be a bool")
-    return _typed(value, int, name)
-
-
 @dataclass(frozen=True)
 class MergeCandidate:
     cve_id: CveId
@@ -76,9 +69,9 @@ class MergeCandidate:
     def from_dict(cls, obj: dict) -> "MergeCandidate":
         return cls(
             cve_id=parse_cve_id(obj["cveID"]),
-            reference_count=_int(obj["referenceCount"], "referenceCount"),
+            reference_count=typed(obj["referenceCount"], int, "referenceCount"),
             authority=Authority[obj["authority"]],
-            publicized_at=_int(obj["publicizedAt"], "publicizedAt"),
+            publicized_at=typed(obj["publicizedAt"], int, "publicizedAt"),
         )
 
 
@@ -93,11 +86,11 @@ class SplitCandidate:
     @classmethod
     def from_dict(cls, obj: dict) -> "SplitCandidate":
         return cls(
-            descriptor=_typed(obj["descriptor"], str, "descriptor"),
-            association_frequency=_int(obj["associationFrequency"], "associationFrequency"),
+            descriptor=typed(obj["descriptor"], str, "descriptor"),
+            association_frequency=typed(obj["associationFrequency"], int, "associationFrequency"),
             severity=Severity.from_dict(obj["severity"]),
-            version_breadth=_int(obj["versionBreadth"], "versionBreadth"),
-            mention_order=_int(obj["mentionOrder"], "mentionOrder"),
+            version_breadth=typed(obj["versionBreadth"], int, "versionBreadth"),
+            mention_order=typed(obj["mentionOrder"], int, "mentionOrder"),
         )
 
 
@@ -373,18 +366,18 @@ OPS.update(
             lambda args: (
                 parse_cve_id(args["cveID"]),
                 args["note"],
-                _typed(args.get("externalRef"), (str, type(None)), "externalRef"),
+                typed(args.get("externalRef"), (str, type(None)), "externalRef"),
             ),
             lambda state, v, caller, clock: [dispute_cve(state, *v, caller, clock)[1]],
         ),
         OP_MERGE: (
-            lambda args: [MergeCandidate.from_dict(c) for c in args["candidates"]],
+            lambda args: [MergeCandidate.from_dict(c) for c in typed(args["candidates"], list, "candidates")],
             lambda state, candidates, caller, clock: merge_cves(state, candidates, caller, clock)[1],
         ),
         OP_SPLIT: (
             lambda args: (
                 parse_cve_id(args["cveID"]),
-                [SplitCandidate.from_dict(c) for c in args["candidates"]],
+                [SplitCandidate.from_dict(c) for c in typed(args["candidates"], list, "candidates")],
             ),
             lambda state, v, caller, clock: split_cve(state, *v, caller, clock)[1],
         ),

@@ -25,7 +25,8 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .canonical import is_hex_digest, sha256_hex, to_canonical_json  # noqa: F401  (perfbench patches it here)
+from .canonical import is_hex_digest, sha256_hex, typed
+from .canonical import to_canonical_json  # noqa: F401  (perfbench patches it here)
 from .errors import DuplicateSubject, InvalidParticipantId, MalformedKey
 
 _PARTICIPANT_RE = re.compile(r"[a-z0-9]+(\.[a-z0-9-]+)+")
@@ -99,7 +100,12 @@ def _lp(chunk: bytes) -> bytes:
 
 
 def _u64(value: int) -> bytes:
-    return struct.pack(">Q", value)
+    """MalformedKey for a value outside [0, 2**64), so a certificate that
+    could not be encoded is refused before it is signed."""
+    try:
+        return struct.pack(">Q", value)
+    except struct.error:
+        raise MalformedKey(f"{value!r} is not an integer in [0, 2**64)") from None
 
 
 def _signing_bytes(subject: str, role: str, public_key: str, serial: int, issued_at: int) -> bytes:
@@ -185,9 +191,10 @@ class RevocationList:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RevocationList":
+        serials = typed(obj.get("revokedSerials", []), list, "revokedSerials")
         return cls(
-            revoked_serials=frozenset(int(s) for s in obj.get("revokedSerials", [])),
-            version=int(obj.get("version", 0)),
+            revoked_serials=frozenset(typed(s, int, "revokedSerials") for s in serials),
+            version=typed(obj.get("version", 0), int, "version"),
         )
 
 

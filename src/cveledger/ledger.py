@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import ZERO_HASH, is_hex_digest, sha256_hex, to_canonical_bytes
+from .canonical import ZERO_HASH, is_hex_digest, sha256_hex, to_canonical_bytes, typed
 from .chaincode import (
     ChainClock,
     OP_GENESIS,
@@ -68,8 +68,8 @@ class EndorsementPolicy:
     def from_dict(cls, obj: dict) -> "EndorsementPolicy":
         return cls(
             rule=obj.get("rule", "ANY_N"),
-            n=int(obj.get("n", 1)),
-            orgs=frozenset(obj.get("orgs", ())),
+            n=typed(obj.get("n", 1), int, "n"),
+            orgs=frozenset(typed(org, str, "orgs") for org in typed(obj.get("orgs", []), list, "orgs")),
         )
 
 
@@ -115,34 +115,26 @@ class Transaction:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Transaction":
-        if not isinstance(obj, dict):
-            raise ValueError("a transaction must be a JSON object")
-        payload = obj["payload"]
-        if not isinstance(payload, dict) or set(payload) != {"args", "caller", "clockNow", "op"}:
+        typed(obj, dict, "transaction")
+        payload = typed(obj["payload"], dict, "payload")
+        if set(payload) != {"args", "caller", "clockNow", "op"}:
             raise ValueError("payload must carry exactly {args, caller, clockNow, op}")
-        if not isinstance(payload["args"], dict) or not isinstance(payload["op"], str):
-            raise ValueError("bad payload field types")
-        if not isinstance(payload["caller"], str):
-            raise ValueError("caller must be a string")
-        if not isinstance(payload["clockNow"], int) or isinstance(payload["clockNow"], bool):
-            raise ValueError("clockNow must be an integer")
+        for name, kind in (("args", dict), ("caller", str), ("clockNow", int), ("op", str)):
+            typed(payload[name], kind, name)
         tx_id = obj["txId"]
         if not is_hex_digest(tx_id, 64):
             raise ValueError("txId must be 64 lowercase hex chars")
-        sig = obj["callerSignature"]
-        if not isinstance(sig, str) or (sig != "" and not is_hex_digest(sig, 128)):
+        sig = typed(obj["callerSignature"], str, "callerSignature")
+        if sig != "" and not is_hex_digest(sig, 128):
             raise ValueError("callerSignature must be empty or 128 lowercase hex chars")
-        raw = obj["endorsements"]
-        if not isinstance(raw, list):
-            raise ValueError("endorsements must be a list")
         endorsements = []
-        for item in raw:
-            if not isinstance(item, list) or len(item) != 2:
+        for item in typed(obj["endorsements"], list, "endorsements"):
+            if len(typed(item, list, "endorsement")) != 2:
                 raise ValueError("endorsement entries are [peerId, signature] pairs")
             peer, esig = item
-            if not isinstance(peer, str) or not is_hex_digest(esig, 128):
-                raise ValueError("bad endorsement entry")
-            endorsements.append((peer, esig))
+            if not is_hex_digest(esig, 128):
+                raise ValueError("bad endorsement signature")
+            endorsements.append((typed(peer, str, "peerId"), esig))
         return cls(
             payload=payload,
             tx_id=tx_id,
@@ -191,21 +183,16 @@ class Block:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Block":
-        height = obj["height"]
-        block_time = obj["blockTime"]
-        if not isinstance(height, int) or isinstance(height, bool) or height < 0:
-            raise ValueError("height must be a non-negative integer")
-        if not isinstance(block_time, int) or isinstance(block_time, bool):
-            raise ValueError("blockTime must be an integer")
+        height = typed(obj["height"], int, "height")
+        if height < 0:
+            raise ValueError("height must be non-negative")
         if not is_hex_digest(obj["prevHash"], 64) or not is_hex_digest(obj["blockHash"], 64):
             raise ValueError("prevHash/blockHash must be 64 lowercase hex chars")
-        if not isinstance(obj["txs"], list):
-            raise ValueError("txs must be a list")
         return cls(
             height=height,
             prev_hash=obj["prevHash"],
-            block_time=block_time,
-            txs=tuple(Transaction.from_dict(t) for t in obj["txs"]),
+            block_time=typed(obj["blockTime"], int, "blockTime"),
+            txs=tuple(Transaction.from_dict(t) for t in typed(obj["txs"], list, "txs")),
             block_hash=obj["blockHash"],
         )
 
@@ -236,20 +223,16 @@ class TrustAnchors:
         LedgerCorrupt at height 0."""
         try:
             args = genesis.txs[0].payload["args"]
-            peers = args.get("peers", {})
-            peer_keys = {pid: p["publicKey"] for pid, p in peers.items()}
-            peer_orgs = {pid: p["org"] for pid, p in peers.items()}
-            if not all(isinstance(v, str) for v in (*peer_keys.values(), *peer_orgs.values())):
-                raise TypeError("a peer's org and publicKey must be strings")
+            peers = typed(args.get("peers", {}), dict, "peers")
             return cls(
                 ca_public_key=args.get("caPublicKey", ""),
                 governance_certs={
                     name: Certificate.from_dict(cert)
-                    for name, cert in args.get("governance", {}).items()
+                    for name, cert in typed(args.get("governance", {}), dict, "governance").items()
                 },
-                peer_keys=peer_keys,
-                peer_orgs=peer_orgs,
-                policy=EndorsementPolicy.from_dict(args.get("policy", {})),
+                peer_keys={pid: typed(p["publicKey"], str, "publicKey") for pid, p in peers.items()},
+                peer_orgs={pid: typed(p["org"], str, "org") for pid, p in peers.items()},
+                policy=EndorsementPolicy.from_dict(typed(args.get("policy", {}), dict, "policy")),
             )
         except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError, LedgerError) as exc:
             raise LedgerCorrupt(f"malformed trust anchors at height 0: {exc!r}", height=0) from None

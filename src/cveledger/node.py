@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import errors
-from .canonical import to_canonical_json
+from .canonical import to_canonical_json, typed
 from .chaincode import OP_CHECK_EMBARGO, OP_UPDATE_STATUS
 from .corrections import OP_DISPUTE, OP_MERGE, OP_PARTIAL_DUP, OP_REJECT, OP_SPLIT
 from .errors import LedgerError
@@ -56,17 +56,17 @@ class NodeConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "NodeConfig":
-        for name in ("caKeyPath", "identityKeyPath", "governanceId"):
-            if not isinstance(obj.get(name, ""), str):
-                raise TypeError(f"{name} must be a string")
+        policy = typed(obj.get("endorsementPolicy", {}), dict, "endorsementPolicy")
         return cls(
-            orderer=OrdererConfig.from_dict(obj.get("ordererConfig", {})),
-            policy=EndorsementPolicy.from_dict(obj.get("endorsementPolicy", {})),
-            ca_key_path=obj.get("caKeyPath", f"{KEYS_DIR}/ca.json"),
-            identity_key_path=obj.get("identityKeyPath", f"{KEYS_DIR}/{DEFAULT_GOVERNANCE}.json"),
-            listen_port=int(obj.get("listenPort", 8440)),
-            governance_id=obj.get("governanceId", DEFAULT_GOVERNANCE),
-            peer_count=int(obj.get("peerCount", 3)),
+            orderer=OrdererConfig.from_dict(typed(obj.get("ordererConfig", {}), dict, "ordererConfig")),
+            policy=EndorsementPolicy.from_dict(policy),
+            ca_key_path=typed(obj.get("caKeyPath", f"{KEYS_DIR}/ca.json"), str, "caKeyPath"),
+            identity_key_path=typed(
+                obj.get("identityKeyPath", f"{KEYS_DIR}/{DEFAULT_GOVERNANCE}.json"), str, "identityKeyPath"
+            ),
+            listen_port=typed(obj.get("listenPort", 8440), int, "listenPort"),
+            governance_id=typed(obj.get("governanceId", DEFAULT_GOVERNANCE), str, "governanceId"),
+            peer_count=typed(obj.get("peerCount", 3), int, "peerCount"),
         )
 
 
@@ -90,7 +90,7 @@ def read_json_file(path: str | Path, kind: type = dict, parse=None):
 
 
 def _key_pair(obj: dict) -> KeyPair:
-    return KeyPair.from_seed_hex(obj["seedHex"])
+    return KeyPair.from_seed_hex(typed(obj["seedHex"], str, "seedHex"))
 
 
 def load_data_dir(data_dir: Path, lock: DataDirLock | None = None) -> tuple[NodeConfig, list[Block]]:
@@ -153,38 +153,42 @@ class Node:
         (data_dir / KEYS_DIR).mkdir(exist_ok=True)
         (data_dir / CERTS_DIR).mkdir(exist_ok=True)
         lock = DataDirLock(data_dir).acquire()
+        try:
+            genesis_time = int(time.time()) if genesis_time is None else int(genesis_time)
+            policy = policy or EndorsementPolicy(rule="ANY_N", n=1)
+            config = NodeConfig(
+                policy=policy,
+                listen_port=listen_port,
+                peer_count=peer_count,
+            )
 
-        genesis_time = int(time.time()) if genesis_time is None else int(genesis_time)
-        policy = policy or EndorsementPolicy(rule="ANY_N", n=1)
-        config = NodeConfig(
-            policy=policy,
-            listen_port=listen_port,
-            peer_count=peer_count,
-        )
+            def new_key(label: str) -> KeyPair:
+                return KeyPair.generate() if seed is None else derive_keypair(seed, label)
 
-        def new_key(label: str) -> KeyPair:
-            return KeyPair.generate() if seed is None else derive_keypair(seed, label)
+            gov_id = config.governance_id
+            ca, keys, gov_cert, genesis = build_consortium(
+                new_key, n_peers=peer_count, policy=policy, genesis_time=genesis_time, governance_id=gov_id
+            )
+            append_block_file(data_dir / LEDGER_FILE, genesis)
+            _write_json(data_dir / CONFIG_FILE, config.to_dict())
+            _write_json(data_dir / CRL_FILE, RevocationList().to_dict())
+            cls._persist_ca(data_dir, config, ca)
+            for name, key in keys.items():
+                key_file = {"seedHex": key.seed_hex, "publicKey": key.public_hex}
+                _write_json(data_dir / KEYS_DIR / f"{name}.json", key_file)
+            _write_json(data_dir / CERTS_DIR / f"{gov_id}.json", gov_cert.to_dict())
 
-        gov_id = config.governance_id
-        ca, keys, gov_cert, genesis = build_consortium(
-            new_key, n_peers=peer_count, policy=policy, genesis_time=genesis_time, governance_id=gov_id
-        )
-        append_block_file(data_dir / LEDGER_FILE, genesis)
-        _write_json(data_dir / CONFIG_FILE, config.to_dict())
-        _write_json(data_dir / CRL_FILE, RevocationList().to_dict())
-        cls._persist_ca(data_dir, config, ca)
-        for name, key in keys.items():
-            _write_json(data_dir / KEYS_DIR / f"{name}.json", {"seedHex": key.seed_hex, "publicKey": key.public_hex})
-        _write_json(data_dir / CERTS_DIR / f"{gov_id}.json", gov_cert.to_dict())
-
-        net = SimulatedNetwork.from_materials(
-            ca=ca,
-            keys=keys,
-            certs={gov_id: gov_cert},
-            chain=[genesis],
-            orderer=config.orderer,
-            governance_id=gov_id,
-        )
+            net = SimulatedNetwork.from_materials(
+                ca=ca,
+                keys=keys,
+                certs={gov_id: gov_cert},
+                chain=[genesis],
+                orderer=config.orderer,
+                governance_id=gov_id,
+            )
+        except BaseException:
+            lock.release()
+            raise
         return cls(data_dir, config, net, lock)
 
     @classmethod
@@ -208,7 +212,8 @@ class Node:
             }
             live = {name: cert for name, cert in certs.items() if cert.serial not in crl.revoked_serials}
             ca_key, next_serial = read_json_file(
-                data_dir / config.ca_key_path, parse=lambda o: (_key_pair(o), int(o.get("nextSerial", 1)))
+                data_dir / config.ca_key_path,
+                parse=lambda o: (_key_pair(o), typed(o.get("nextSerial", 1), int, "nextSerial")),
             )
             net = SimulatedNetwork.from_materials(
                 ca=CertificateAuthority(ca_key, next_serial=next_serial, live=live, crl=crl),

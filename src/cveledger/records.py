@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
 
+from .canonical import typed
 from .errors import MalformedId, YearOutOfRange
 from .identity import is_valid_participant_id
 from .versions import VersionRange, parse_range
@@ -117,11 +118,10 @@ class Severity:
     def from_dict(cls, obj) -> "Severity":
         if isinstance(obj, str):
             return cls(label=SeverityLabel(obj))
-        score = obj.get("cvssScore")
-        if score is not None and (isinstance(score, bool) or not isinstance(score, (int, float))):
-            raise TypeError(f"cvssScore must be a number or null, not {type(score).__name__}")
+        score = typed(obj.get("cvssScore"), (int, float, type(None)), "cvssScore")
         return cls(
             label=SeverityLabel(obj["label"]),
+            # widens a checked int (7 -> 7.0); state snapshots carry scores as floats
             cvss_score=None if score is None else float(score),
         )
 
@@ -146,10 +146,8 @@ class Annotation:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Annotation":
-        text, ref = obj["text"], obj.get("ref")
-        if not isinstance(text, str) or not (ref is None or isinstance(ref, str)):
-            raise TypeError("annotation text must be a string and ref a string or null")
-        return cls(tag=obj["tag"], text=text, ref=ref)
+        ref = typed(obj.get("ref"), (str, type(None)), "ref")
+        return cls(tag=obj["tag"], text=typed(obj["text"], str, "text"), ref=ref)
 
 
 @dataclass(frozen=True)
@@ -196,22 +194,19 @@ def record_to_dict(record: CveRecord, *, internal: bool = False) -> dict:
 
 
 def record_from_dict(obj: dict) -> CveRecord:
-    embargo = obj.get("embargoUntil")
-    if embargo is not None and (not isinstance(embargo, int) or isinstance(embargo, bool)):
-        raise TypeError(f"embargoUntil must be an integer, not {type(embargo).__name__}")
     return CveRecord(
         cve_id=parse_cve_id(obj["cveID"]),
         description=obj.get("description", ""),
         product=obj.get("product", ""),
-        version=tuple(parse_range(v) for v in obj.get("version", [])),
+        version=tuple(parse_range(v) for v in typed(obj.get("version", []), list, "version")),
         severity=Severity.from_dict(obj.get("severity", {"label": "NONE", "cvssScore": None})),
         status=CveStatus(obj.get("status", "PUBLISHED")),
         submitter=obj.get("submitterCNA", ""),
-        embargo_until=embargo,
-        references=tuple(obj.get("references", ())),
-        annotations=tuple(Annotation.from_dict(a) for a in obj.get("annotations", ())),
-        created_at=int(obj.get("createdAt", 0)),
-        updated_at=int(obj.get("updatedAt", 0)),
+        embargo_until=typed(obj.get("embargoUntil"), (int, type(None)), "embargoUntil"),
+        references=tuple(typed(obj.get("references", []), list, "references")),
+        annotations=tuple(map(Annotation.from_dict, typed(obj.get("annotations", []), list, "annotations"))),
+        created_at=typed(obj.get("createdAt", 0), int, "createdAt"),
+        updated_at=typed(obj.get("updatedAt", 0), int, "updatedAt"),
         embargo_salt=obj.get("embargoSalt"),
     )
 

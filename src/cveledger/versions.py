@@ -12,6 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .canonical import typed
+
 MAX_PART = 999_999
 _BASE = MAX_PART + 1
 
@@ -69,7 +71,8 @@ class VersionRange:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "VersionRange":
-        return cls(lo=tuple(int(p) for p in obj["lo"]), hi=tuple(int(p) for p in obj["hi"]))
+        lo, hi = (tuple(typed(p, int, end) for p in typed(obj[end], list, end)) for end in ("lo", "hi"))
+        return cls(lo=lo, hi=hi)
 
     def __str__(self) -> str:
         return f"{format_triple(self.lo)}-{format_triple(self.hi)}"
