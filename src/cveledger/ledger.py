@@ -13,11 +13,15 @@ embedded in onboarding transactions.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable
 
 from .canonical import ZERO_HASH, is_hex_digest, sha256_hex, to_canonical_bytes, typed
 from .chaincode import (
     ChainClock,
+    Event,
     OP_GENESIS,
     OP_ONBOARD,
     WorldState,
@@ -27,7 +31,7 @@ from .chaincode import (
 )
 from .errors import ClockRegression, LedgerCorrupt, LedgerError, PolicyUnsatisfied
 from .identity import Certificate, KeyPair, sign_payload, verify_payload
-from .records import CveRecord, CveStatus
+from .records import CveRecord, CveStatus, record_to_dict
 from . import corrections  # noqa: F401  (adds the correction ops to chaincode.OPS)
 
 HASH_MISMATCH = "HASH_MISMATCH"
@@ -418,9 +422,61 @@ def replay(chain: list[Block]) -> WorldState:
     return state
 
 
+def _kept(obj, key: str, compute: Callable):
+    """`compute(obj)`, computed on the first call and kept as the attribute
+    `key` (a name no field has) of the frozen `obj`, set the way a frozen
+    dataclass's own `__init__` sets its fields. Records and events are
+    frozen and every change builds a new object, so a kept value never goes
+    stale. Handler threads may race on a first call: each computes the same
+    value, and either write wins."""
+    value = getattr(obj, key, None)
+    if value is None:
+        value = compute(obj)
+        object.__setattr__(obj, key, value)
+    return value
+
+
+def record_commitment(record: CveRecord) -> str:
+    """`content_commitment(record)`, computed once per record object."""
+    return _kept(record, "_commitment", content_commitment)
+
+
+def _registry_entry_bytes(record: CveRecord) -> bytes:
+    # `"<id>":<internal record>`, the record's entry in the snapshot's
+    # registry; an id is ASCII letters, digits and dashes, which JSON quotes as is
+    return _kept(
+        record, "_registry_entry",
+        lambda r: b'"%s":%s' % (str(r.cve_id).encode(), to_canonical_bytes(record_to_dict(r, internal=True))),
+    )
+
+
+def _event_bytes(event: Event) -> bytes:
+    return _kept(event, "_canonical", lambda e: to_canonical_bytes(e.to_dict()))
+
+
 def state_hash(state: WorldState) -> str:
-    """SHA-256 of the canonical state snapshot; equal states, equal hashes."""
-    return sha256_hex(to_canonical_bytes(state.to_dict()))
+    """SHA-256 of the canonical state snapshot; equal states, equal hashes.
+
+    The digest is that of `to_canonical_bytes(state.to_dict())`, which the
+    tests keep as the oracle, but that snapshot is never built. Its registry
+    and event log, nearly all of its bytes, are spliced from canonical bytes
+    kept on each record and event, in the key order and separators of
+    `to_canonical_json`; only `state.summary_dict()` is encoded per call.
+    Registry keys sort as strings (CVE-2025-10000 before CVE-2025-9999), and
+    so do the entries `"<id>":{...}` as bytes, since `"` sorts before every
+    character of an id. An entry is keyed by its record's id, which is the
+    key `WorldState.store` files it under.
+    """
+    parts = {key: to_canonical_bytes(value) for key, value in state.summary_dict().items()}
+    entries = sorted(map(_registry_entry_bytes, state.cve_registry.values()))
+    parts["cveRegistry"] = b"{" + b",".join(entries) + b"}"
+    parts["eventLog"] = b"[" + b",".join(map(_event_bytes, state.event_log)) + b"]"
+    digest = hashlib.sha256()
+    for index, key in enumerate(sorted(parts)):
+        digest.update(b'%s"%s":' % (b"," if index else b"{", key.encode()))
+        digest.update(parts[key])
+    digest.update(b"}")
+    return digest.hexdigest()
 
 
 def record_view(record: CveRecord, clock_now: int) -> dict:
@@ -438,12 +494,26 @@ def record_view(record: CveRecord, clock_now: int) -> dict:
         "updatedAt": record.updated_at,
     }
     if is_content_withheld(record, clock_now):
-        view["contentCommitment"] = content_commitment(record)
+        view["contentCommitment"] = record_commitment(record)
     else:
         view["description"] = record.description
         view["product"] = record.product
         view["version"] = [r.to_dict() for r in record.version]
     return view
+
+
+def record_view_bytes(record: CveRecord, clock_now: int) -> bytes:
+    """`to_canonical_bytes(record_view(record, clock_now))`, kept on the
+    record. The clock enters a view only through `is_content_withheld`, so
+    a record has at most two views, withheld and public, and each is
+    computed once per record object whatever the clock."""
+    key = "_view_withheld" if is_content_withheld(record, clock_now) else "_view_public"
+    return _kept(record, key, lambda r: to_canonical_bytes(record_view(r, clock_now)))
+
+
+# the order of CveId as a C-level sort key: the dataclass's own comparison
+# runs Python code on every compare
+_ID_ORDER = attrgetter("year", "sequence")
 
 
 def query_public(
@@ -454,30 +524,38 @@ def query_public(
     product: str | None = None,
     year: int | None = None,
     submitter: str | None = None,
-) -> list[dict]:
-    """Filtered public views, ascending id order. Content filters (product)
+    view: Callable | None = None,
+) -> list:
+    """Filtered public views, ascending id order: `view(record, clock)` of
+    each match, `record_view` when `view` is None. The HTTP list route
+    passes `record_view_bytes` and joins the rows. Content filters (product)
     never match records whose content is still withheld: matching would
     leak the hidden field through the filter.
 
     The index narrows, the predicate decides: an id lookup, or else the
-    smallest bucket of `state.query_index()` among the status, submitter
-    and product filters, picks the candidates (the whole registry when none
-    of those is given), and the per-record checks below decide every
+    smallest bucket of `state.query_index()` among the status, submitter,
+    product and year filters, picks the candidates (the whole registry when
+    none of those is given), and the per-record checks below decide every
     candidate, withheld content included. That is exact as long as every
     match is in its bucket, which `store` keeps true once the index is
     built."""
+    if view is None:
+        view = record_view
     now = state.clock_now
     registry = state.cve_registry
     if cve_id is not None:
         candidates = [cve_id] if cve_id in registry else []
     else:
-        keys = [(f, v) for f, v in (("status", status), ("submitter", submitter), ("product", product))
-                if v is not None]
+        keys = [
+            (f, v)
+            for f, v in (("status", status), ("submitter", submitter), ("product", product), ("year", year))
+            if v is not None
+        ]
         if keys:
             index = state.query_index()
-            candidates = sorted(min((index.get(key, ()) for key in keys), key=len))
+            candidates = sorted(min((index.get(key, ()) for key in keys), key=len), key=_ID_ORDER)
         else:
-            candidates = sorted(registry)
+            candidates = sorted(registry, key=_ID_ORDER)
     out = []
     for cid in candidates:
         record = registry[cid]
@@ -491,5 +569,5 @@ def query_public(
             continue
         if product is not None and (is_content_withheld(record, now) or record.product != product):
             continue
-        out.append(record_view(record, now))
+        out.append(view(record, now))
     return out

@@ -16,6 +16,7 @@ from __future__ import annotations
 import fcntl
 import json
 import logging
+import math
 import os
 from pathlib import Path
 
@@ -54,10 +55,28 @@ def write_chain_file(path: Path, chain: list[Block]) -> None:
         os.fsync(fh.fileno())
 
 
+def _refuse_non_finite(literal: str):
+    raise ValueError(f"non-finite number {literal}")
+
+
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if math.isinf(value):  # a literal too large for a float, like 1e400
+        _refuse_non_finite(literal)
+    return value
+
+
+# Canonical JSON never carries NaN or an infinity (`allow_nan=False`): a
+# line that decodes to one cannot be re-encoded, so it is refused here,
+# where every reader and the auditor turn a ValueError into their verdict.
+_LINE_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_refuse_non_finite)
+
+
 def _parse_line(line: bytes) -> Block:
     """The block on `line`. Bytes that are not a block raise KeyError or
-    ValueError (a UnicodeDecodeError is one)."""
-    obj = json.loads(line)
+    ValueError (a UnicodeDecodeError is one, and so is a NaN, an infinity
+    or a number literal too large for a float)."""
+    obj = _LINE_DECODER.decode(line.decode("utf-8"))
     if not isinstance(obj, dict):
         raise ValueError("block line must be a JSON object")
     return Block.from_dict(obj)
