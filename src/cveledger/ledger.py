@@ -1,9 +1,12 @@
-"""Hash-chained block store: build, verify, replay, query.
+"""Hash-chained blocks and their ledger lines: build, encode, audit, replay, query.
 
 Blocks chain by SHA-256; transaction ids hash the canonical payload bytes;
-caller and endorsement signatures cover those same bytes. Together every
-byte of a serialized block is covered by at least one check, so any
-post-commit mutation is detectable.
+caller and endorsement signatures cover those same bytes. A block's line
+in `ledger.jsonl` is its canonical JSON and a newline (`block_line`). The
+file auditor (`ChainAuditor`) accepts a line only if the block it decodes
+to encodes back to exactly that line, so every byte of a line is covered
+by at least one check and any post-commit mutation is detectable by audit.
+Readers only decode lines (`parse_line`) and check links (`replay`).
 
 Verification is chain-self-contained: the trust root (CA key, bootstrap
 governance certificates, peer keys, endorsement policy) lives in the
@@ -14,6 +17,8 @@ embedded in onboarding transactions.
 from __future__ import annotations
 
 import hashlib
+import json
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable
@@ -38,6 +43,21 @@ HASH_MISMATCH = "HASH_MISMATCH"
 SIGNATURE_INVALID = "SIGNATURE_INVALID"
 ENDORSEMENT_INSUFFICIENT = "ENDORSEMENT_INSUFFICIENT"
 CLOCK_REGRESSION = "CLOCK_REGRESSION"
+
+
+def _kept(obj, key: str, compute: Callable):
+    """`compute(obj)`, computed on the first call and kept as the attribute
+    `key` (a name no field has) of the frozen `obj`, set the way a frozen
+    dataclass's own `__init__` sets its fields. Records, events and
+    transactions are frozen, every change builds a new object, and nothing
+    mutates a transaction's payload dict, so a kept value never goes stale.
+    Handler threads may race on a first call: each computes the same value,
+    and either write wins."""
+    value = getattr(obj, key, None)
+    if value is None:
+        value = compute(obj)
+        object.__setattr__(obj, key, value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -96,18 +116,26 @@ class Transaction:
         payload = {"args": args, "caller": caller, "clockNow": int(clock_now), "op": op}
         payload_bytes = to_canonical_bytes(payload)
         sig = sign_payload(key, payload_bytes).hex() if key is not None else ""
-        return cls(payload=payload, tx_id=sha256_hex(payload_bytes), caller_signature=sig)
+        tx = cls(payload=payload, tx_id=sha256_hex(payload_bytes), caller_signature=sig)
+        _kept(tx, "_payload_bytes", lambda _: payload_bytes)
+        return tx
 
     def payload_bytes(self) -> bytes:
-        return to_canonical_bytes(self.payload)
+        """`to_canonical_bytes(self.payload)`: the bytes the tx id hashes and
+        every signature covers, encoded once per transaction. They are kept
+        as an attribute, not a field, so `dataclasses.replace` builds a
+        transaction that encodes its own payload."""
+        return _kept(self, "_payload_bytes", lambda tx: to_canonical_bytes(tx.payload))
 
     def with_endorsements(self, endorsements) -> "Transaction":
-        return Transaction(
+        tx = Transaction(
             payload=self.payload,
             tx_id=self.tx_id,
             caller_signature=self.caller_signature,
             endorsements=tuple((str(p), str(s)) for p, s in endorsements),
         )
+        _kept(tx, "_payload_bytes", lambda _: self.payload_bytes())
+        return tx
 
     def to_dict(self) -> dict:
         return {
@@ -201,6 +229,50 @@ class Block:
         )
 
 
+def block_line(block: Block) -> bytes:
+    """The block's line in `ledger.jsonl`: its canonical JSON and a newline.
+    A block holding what canonical JSON cannot write (a NaN, an infinity, a
+    lone surrogate) raises ValueError."""
+    return to_canonical_bytes(block.to_dict()) + b"\n"
+
+
+def _refuse_non_finite(literal: str):
+    raise ValueError(f"non-finite number {literal}")
+
+
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if math.isinf(value):  # a literal too large for a float, like 1e400
+        _refuse_non_finite(literal)
+    return value
+
+
+# Canonical JSON never carries NaN or an infinity (`allow_nan=False`): a
+# line that decodes to one cannot be re-encoded, so it is refused here,
+# where every reader and the auditor turn a ValueError into their verdict.
+_LINE_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_refuse_non_finite)
+
+
+def parse_line(line: bytes) -> Block:
+    """The block on `line`. Bytes that are not a block raise KeyError or
+    ValueError (a UnicodeDecodeError is one, and so is a NaN, an infinity
+    or a number literal too large for a float). Decoding is all it checks:
+    only the auditor asks whether the block encodes back to `line`."""
+    obj = _LINE_DECODER.decode(line.decode("utf-8"))
+    if not isinstance(obj, dict):
+        raise ValueError("block line must be a JSON object")
+    return Block.from_dict(obj)
+
+
+def split_lines(data: bytes) -> tuple[list[bytes], bytes]:
+    """The newline-terminated lines of `data`, and the bytes after the last
+    newline (the whole of `data` when it has none)."""
+    complete, sep, tail = data.rpartition(b"\n")
+    if not sep:
+        return [], data
+    return (complete.split(b"\n") if complete else []), tail
+
+
 @dataclass(frozen=True)
 class AuditReport:
     valid: bool
@@ -261,29 +333,18 @@ def make_genesis_block(
     return Block.build(0, ZERO_HASH, genesis_time, [tx])
 
 
-def _valid_endorsers(tx: Transaction, trust: TrustAnchors) -> tuple[set[str], int] | None:
-    """(orgs, count) of the endorsements, or None when any listed
-    endorsement fails to verify — committed blocks never carry invalid
-    endorsements, so one means tampering."""
+def check_endorsements(tx: Transaction, trust: TrustAnchors) -> bool:
+    """Whether the distinct endorsing peers satisfy the policy. Any listed
+    endorsement that fails to verify fails the check: committed blocks
+    never carry invalid endorsements, so one means tampering."""
     payload_bytes = tx.payload_bytes()
-    orgs: set[str] = set()
-    seen: set[str] = set()
+    peers: set[str] = set()
     for peer_id, sig_hex in tx.endorsements:
         key = trust.peer_keys.get(peer_id)
         if key is None or not verify_payload(key, payload_bytes, bytes.fromhex(sig_hex)):
-            return None
-        if peer_id not in seen:
-            seen.add(peer_id)
-            orgs.add(trust.peer_orgs.get(peer_id, peer_id))
-    return orgs, len(seen)
-
-
-def check_endorsements(tx: Transaction, trust: TrustAnchors) -> bool:
-    result = _valid_endorsers(tx, trust)
-    if result is None:
-        return False
-    orgs, count = result
-    return trust.policy.satisfied(orgs, count)
+            return False
+        peers.add(peer_id)
+    return trust.policy.satisfied({trust.peer_orgs.get(p, p) for p in peers}, len(peers))
 
 
 def append_block(chain: list[Block], txs, clock_now: int, trust: TrustAnchors) -> list[Block]:
@@ -334,11 +395,10 @@ def _onboarded_key(tx: Transaction, ca_public_key: str) -> tuple[str, str] | Non
 def _verify_block(
     block: Block, ctx: _VerifyContext, trust: TrustAnchors
 ) -> tuple[str | None, dict[str, str]]:
-    """Returns (reason or None, caller keys exported by this block)."""
-    if block.height == 0:
-        if block.prev_hash != ZERO_HASH:
-            return HASH_MISMATCH, {}
-    elif block.prev_hash != ctx.prev_hash:
+    """Returns (reason or None, caller keys exported by this block). The
+    caller has checked that the block's height is its index, so only the
+    genesis block sees the context's first `prev_hash`, ZERO_HASH."""
+    if block.prev_hash != ctx.prev_hash:
         return HASH_MISMATCH, {}
 
     for tx in block.txs:
@@ -378,12 +438,73 @@ def _verify_block(
     return None, exported
 
 
+class ChainAuditor:
+    """Strict file auditor with per-line memoization.
+
+    A line is accepted only if it decodes to a block at its own height
+    that encodes back to exactly the line (no added key, whitespace, escape
+    or other spelling), and that block passes `_verify_block`. A partial
+    tail counts as corruption.
+
+    A block's verdict is a pure function of its line bytes, the previous
+    block's hash/time, and the caller keys accumulated so far, so verdicts
+    are cached on exactly that key. Re-auditing a file that differs in one
+    line only re-verifies from the changed line on, which keeps exhaustive
+    bit-flip sweeps tractable without weakening any check.
+    """
+
+    def __init__(self) -> None:
+        self._memo: dict[tuple, tuple] = {}
+
+    def audit_bytes(self, data: bytes) -> AuditReport:
+        lines, tail = split_lines(data)
+        if tail:
+            return AuditReport(valid=False, first_bad_height=len(lines), reason=HASH_MISMATCH)
+        if not lines:
+            return AuditReport(valid=False, first_bad_height=0, reason=HASH_MISMATCH)
+
+        ctx = _VerifyContext()
+        trust = None  # read from the genesis line
+        for index, line in enumerate(lines):
+            key = (
+                index,
+                sha256_hex(line),
+                ctx.prev_hash,
+                ctx.prev_time,
+                ctx.keyring_fingerprint(),
+            )
+            hit = self._memo.get(key)
+            if hit is None:
+                hit = self._verify_line(index, line, ctx, trust)
+                self._memo[key] = hit
+            reason, exported, block_hash, block_time, line_trust = hit
+            if reason is not None:
+                return AuditReport(valid=False, first_bad_height=index, reason=reason)
+            if index == 0:
+                trust = line_trust
+                ctx.ca_public_key = trust.ca_public_key
+            ctx.caller_keys.update(exported)
+            ctx.prev_hash = block_hash
+            ctx.prev_time = block_time
+        return AuditReport(valid=True)
+
+    def _verify_line(self, index, line, ctx, trust):
+        try:
+            block = parse_line(line)
+            if block.height != index or block_line(block) != line + b"\n":
+                return HASH_MISMATCH, {}, None, None, None
+            if index == 0:
+                trust = TrustAnchors.from_genesis(block)
+        except (KeyError, ValueError, LedgerCorrupt):
+            return HASH_MISMATCH, {}, None, None, None
+        reason, exported = _verify_block(block, ctx, trust)
+        return reason, exported, block.block_hash, block.block_time, trust
+
+
 def verify_chain(chain: list[Block]) -> AuditReport:
     """The strict file audit of `chain` written out as block lines: every
     hash, link, signature, endorsement and the clock's monotonicity are
     recomputed, and the first violation is reported by height."""
-    from .storage import ChainAuditor, block_line  # storage imports this module
-
     return ChainAuditor().audit_bytes(b"".join(block_line(b) for b in chain))
 
 
@@ -420,20 +541,6 @@ def replay(chain: list[Block]) -> WorldState:
     for block in chain:
         tip = commit_block(state, tip, block)
     return state
-
-
-def _kept(obj, key: str, compute: Callable):
-    """`compute(obj)`, computed on the first call and kept as the attribute
-    `key` (a name no field has) of the frozen `obj`, set the way a frozen
-    dataclass's own `__init__` sets its fields. Records and events are
-    frozen and every change builds a new object, so a kept value never goes
-    stale. Handler threads may race on a first call: each computes the same
-    value, and either write wins."""
-    value = getattr(obj, key, None)
-    if value is None:
-        value = compute(obj)
-        object.__setattr__(obj, key, value)
-    return value
 
 
 def record_commitment(record: CveRecord) -> str:
