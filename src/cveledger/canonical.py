@@ -24,8 +24,12 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=
 
 
 def to_canonical_json(obj: Any) -> str:
-    """Serialize with lexicographically sorted keys and no whitespace."""
-    return _ENCODER.encode(obj)
+    """Serialize with lexicographically sorted keys and no whitespace. What
+    JSON cannot write (a NaN, an infinity, nesting too deep) raises ValueError."""
+    try:
+        return _ENCODER.encode(obj)
+    except RecursionError:
+        raise ValueError("JSON nesting too deep") from None
 
 
 def to_canonical_bytes(obj: Any) -> bytes:

@@ -1,9 +1,9 @@
 """Correction procedures: reject, merge, split, dispute, partial duplicate.
 
-The two selection chains are strict priority filters: each criterion prunes
-the survivor set and later criteria only see what earlier ones left. Both
-are total for well-formed inputs (distinct ids / unique mention order
-guarantee a unique survivor) and permutation-invariant.
+Each of the two selections is the minimum of one key, its criteria in
+priority order: a later criterion only breaks ties of the earlier ones.
+The last criterion is unique for well-formed inputs (distinct ids, unique
+mention order), so the minimum is unique and permutation-invariant.
 """
 
 from __future__ import annotations
@@ -94,12 +94,6 @@ class SplitCandidate:
         )
 
 
-def _keep_best(survivors: list, key, *, largest: bool) -> list:
-    pick = max if largest else min
-    best = pick(key(c) for c in survivors)
-    return [c for c in survivors if key(c) == best]
-
-
 def select_canonical(candidates: list[MergeCandidate]) -> CveId:
     """Pick the id that survives, in order: most referenced, most
     authoritative source, earliest publicized, smallest numeric portion
@@ -109,15 +103,10 @@ def select_canonical(candidates: list[MergeCandidate]) -> CveId:
     ids = [c.cve_id for c in candidates]
     if len(set(ids)) != len(ids):
         raise DuplicateCandidates("merge candidates must have distinct ids")
-    survivors = list(candidates)
-    survivors = _keep_best(survivors, lambda c: c.reference_count, largest=True)
-    survivors = _keep_best(survivors, lambda c: c.authority, largest=True)
-    survivors = _keep_best(survivors, lambda c: c.publicized_at, largest=False)
-    survivors = _keep_best(
-        survivors, lambda c: (c.cve_id.numeric_portion, c.cve_id.year), largest=False
-    )
-    assert len(survivors) == 1, "distinct ids guarantee a unique survivor"
-    return survivors[0].cve_id
+    return min(
+        candidates,
+        key=lambda c: (-c.reference_count, -c.authority, c.publicized_at, c.cve_id.numeric_portion, c.cve_id.year),
+    ).cve_id
 
 
 def select_prominent(candidates: list[SplitCandidate]) -> SplitCandidate:
@@ -129,17 +118,15 @@ def select_prominent(candidates: list[SplitCandidate]) -> SplitCandidate:
     orders = [c.mention_order for c in candidates]
     if len(set(orders)) != len(orders):
         raise DuplicateCandidates("mention order must be unique per candidate")
-    survivors = list(candidates)
-    survivors = _keep_best(survivors, lambda c: c.association_frequency, largest=True)
-    survivors = _keep_best(
-        survivors,
-        lambda c: c.severity.cvss_score if c.severity.cvss_score is not None else -1.0,
-        largest=True,
+    return min(
+        candidates,
+        key=lambda c: (
+            -c.association_frequency,
+            -(c.severity.cvss_score if c.severity.cvss_score is not None else -1.0),
+            -c.version_breadth,
+            c.mention_order,
+        ),
     )
-    survivors = _keep_best(survivors, lambda c: c.version_breadth, largest=True)
-    survivors = _keep_best(survivors, lambda c: c.mention_order, largest=False)
-    assert len(survivors) == 1, "unique mention order guarantees a unique survivor"
-    return survivors[0]
 
 
 def _require_correction_rights(state: WorldState, caller: str, records: list[CveRecord]) -> None:

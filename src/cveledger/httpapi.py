@@ -39,7 +39,9 @@ def redacted_block_dict(block: Block, state: WorldState) -> dict:
         payload = tx_obj["payload"]
         if payload.get("op") != OP_SUBMIT:
             continue
-        record_obj = payload.get("args", {}).get("record", {})
+        record_obj = payload["args"].get("record")
+        if not isinstance(record_obj, dict):  # failed at commit: nothing to withhold
+            continue
         try:
             cid = parse_cve_id(record_obj.get("cveID", ""))
         except (MalformedId, YearOutOfRange):

@@ -232,7 +232,7 @@ class Block:
 def block_line(block: Block) -> bytes:
     """The block's line in `ledger.jsonl`: its canonical JSON and a newline.
     A block holding what canonical JSON cannot write (a NaN, an infinity, a
-    lone surrogate) raises ValueError."""
+    lone surrogate, nesting too deep) raises ValueError."""
     return to_canonical_bytes(block.to_dict()) + b"\n"
 
 
@@ -255,10 +255,14 @@ _LINE_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_refu
 
 def parse_line(line: bytes) -> Block:
     """The block on `line`. Bytes that are not a block raise KeyError or
-    ValueError (a UnicodeDecodeError is one, and so is a NaN, an infinity
-    or a number literal too large for a float). Decoding is all it checks:
-    only the auditor asks whether the block encodes back to `line`."""
-    obj = _LINE_DECODER.decode(line.decode("utf-8"))
+    ValueError (a UnicodeDecodeError is one, and so is a NaN, an infinity,
+    a number literal too large for a float or nesting too deep). Decoding
+    is all it checks: only the auditor asks whether the block encodes back
+    to `line`."""
+    try:
+        obj = _LINE_DECODER.decode(line.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("JSON nesting too deep") from None
     if not isinstance(obj, dict):
         raise ValueError("block line must be a JSON object")
     return Block.from_dict(obj)
@@ -372,12 +376,6 @@ class _VerifyContext:
         self.prev_hash = ZERO_HASH
         self.prev_time: int | None = None
         self.caller_keys: dict[str, str] = {}
-        self.ca_public_key = ""
-
-    def keyring_fingerprint(self) -> str:
-        return sha256_hex(
-            to_canonical_bytes([self.ca_public_key, sorted(self.caller_keys.items())])
-        )
 
 
 def _onboarded_key(tx: Transaction, ca_public_key: str) -> tuple[str, str] | None:
@@ -432,7 +430,7 @@ def _verify_block(
         if not check_endorsements(tx, trust):
             return ENDORSEMENT_INSUFFICIENT, {}
         if tx.payload["op"] == OP_ONBOARD:
-            entry = _onboarded_key(tx, ctx.ca_public_key)
+            entry = _onboarded_key(tx, trust.ca_public_key)
             if entry is not None:
                 exported[entry[0]] = entry[1]
     return None, exported
@@ -446,15 +444,19 @@ class ChainAuditor:
     or other spelling), and that block passes `_verify_block`. A partial
     tail counts as corruption.
 
-    A block's verdict is a pure function of its line bytes, the previous
-    block's hash/time, and the caller keys accumulated so far, so verdicts
-    are cached on exactly that key. Re-auditing a file that differs in one
-    line only re-verifies from the changed line on, which keeps exhaustive
-    bit-flip sweeps tractable without weakening any check.
+    Verdicts are cached on `(prev_hash, sha256(line))`: the hash that
+    commits the line's context, and the line. The cache is only consulted
+    once every earlier line has verified, and then the previous block's
+    hash commits, through block hashes, tx ids and payloads, everything the
+    context holds: the heights, the block times, the genesis anchors and
+    every onboarded certificate. Signatures and endorsements are covered by
+    no hash, but they never change the context. Re-auditing a file that
+    differs in one line only re-verifies from the changed line on, which
+    keeps exhaustive bit-flip sweeps tractable without weakening any check.
     """
 
     def __init__(self) -> None:
-        self._memo: dict[tuple, tuple] = {}
+        self._memo: dict[tuple[str, str], tuple] = {}
 
     def audit_bytes(self, data: bytes) -> AuditReport:
         lines, tail = split_lines(data)
@@ -466,26 +468,14 @@ class ChainAuditor:
         ctx = _VerifyContext()
         trust = None  # read from the genesis line
         for index, line in enumerate(lines):
-            key = (
-                index,
-                sha256_hex(line),
-                ctx.prev_hash,
-                ctx.prev_time,
-                ctx.keyring_fingerprint(),
-            )
+            key = (ctx.prev_hash, sha256_hex(line))
             hit = self._memo.get(key)
             if hit is None:
-                hit = self._verify_line(index, line, ctx, trust)
-                self._memo[key] = hit
-            reason, exported, block_hash, block_time, line_trust = hit
+                hit = self._memo[key] = self._verify_line(index, line, ctx, trust)
+            reason, exported, ctx.prev_hash, ctx.prev_time, trust = hit
             if reason is not None:
                 return AuditReport(valid=False, first_bad_height=index, reason=reason)
-            if index == 0:
-                trust = line_trust
-                ctx.ca_public_key = trust.ca_public_key
             ctx.caller_keys.update(exported)
-            ctx.prev_hash = block_hash
-            ctx.prev_time = block_time
         return AuditReport(valid=True)
 
     def _verify_line(self, index, line, ctx, trust):

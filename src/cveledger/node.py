@@ -76,8 +76,9 @@ def _write_json(path: Path, obj: dict) -> None:
 
 def read_json_file(path: str | Path, kind: type = dict, parse=None):
     """The JSON value of type `kind` in `path`, passed through `parse` when
-    one is given. A missing file, bad JSON, another type, or a value that
-    `parse` cannot take raises a LedgerError naming the file."""
+    one is given. A missing file, bad JSON (nesting too deep included),
+    another type, or a value that `parse` cannot take raises a LedgerError
+    naming the file."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(obj, kind):
@@ -85,7 +86,7 @@ def read_json_file(path: str | Path, kind: type = dict, parse=None):
         return obj if parse is None else parse(obj)
     except FileNotFoundError:
         raise LedgerError(f"file not found: {path}") from None
-    except (AttributeError, KeyError, TypeError, ValueError, LedgerError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError, LedgerError) as exc:
         raise LedgerError(f"malformed {path}: {exc!r}") from None
 
 
@@ -143,17 +144,19 @@ class Node:
         seed: bytes | None = None,
     ) -> "Node":
         """Create the CA, bootstrap governance, peer identities, and the
-        genesis block. Keys come from `seed` when one is given, else are
-        random. Every key is written to `keys/` and held in `net.keys`, so
-        governance and the peers can sign; `issue` adds the others."""
+        genesis block, then open the data dir like any other. Keys come
+        from `seed` when one is given, else are random. Every key is
+        written to `keys/`, and `open` puts all but the CA's in `net.keys`,
+        so governance and the peers can sign; `issue` adds the others. The
+        dir is written under the writer lock; a writer that takes the lock
+        before `open` makes init fail."""
         data_dir = Path(data_dir)
         data_dir.mkdir(parents=True, exist_ok=True)
         if (data_dir / LEDGER_FILE).exists():
             raise LedgerError(f"data dir already initialized: {data_dir}")
         (data_dir / KEYS_DIR).mkdir(exist_ok=True)
         (data_dir / CERTS_DIR).mkdir(exist_ok=True)
-        lock = DataDirLock(data_dir).acquire()
-        try:
+        with DataDirLock(data_dir):
             genesis_time = int(time.time()) if genesis_time is None else int(genesis_time)
             policy = policy or EndorsementPolicy(rule="ANY_N", n=1)
             config = NodeConfig(
@@ -177,19 +180,7 @@ class Node:
                 key_file = {"seedHex": key.seed_hex, "publicKey": key.public_hex}
                 _write_json(data_dir / KEYS_DIR / f"{name}.json", key_file)
             _write_json(data_dir / CERTS_DIR / f"{gov_id}.json", gov_cert.to_dict())
-
-            net = SimulatedNetwork.from_materials(
-                ca=ca,
-                keys=keys,
-                certs={gov_id: gov_cert},
-                chain=[genesis],
-                orderer=config.orderer,
-                governance_id=gov_id,
-            )
-        except BaseException:
-            lock.release()
-            raise
-        return cls(data_dir, config, net, lock)
+        return cls.open(data_dir)
 
     @classmethod
     def open(cls, data_dir: str | Path) -> "Node":
