@@ -1,8 +1,8 @@
 """Benchmark harness: wall-clock throughput and submit-to-commit latency
 for valid submissions over the full endorse -> order -> commit pipeline.
 
-Committed content (hashes) is deterministic for a given seed; only the
-timing fields vary run to run.
+Keys come from the fixed `SEED`, so committed content (hashes) is the same
+on every run of a given size; only the timing fields vary run to run.
 """
 
 from __future__ import annotations
@@ -12,6 +12,9 @@ import time
 from .identity import ROLE_CNA
 from .ledger import state_hash
 from .network import OrdererConfig, SimulatedNetwork
+
+SEED = b"cveledger-bench"
+MAX_BLOCK_TXS = 100
 
 
 def _bench_record(seq: int, submitter: str) -> dict:
@@ -26,20 +29,14 @@ def _bench_record(seq: int, submitter: str) -> dict:
     }
 
 
-def bench(
-    tx_count: int,
-    peer_count: int = 3,
-    *,
-    seed: bytes = b"cveledger-bench",
-    max_block_txs: int = 100,
-) -> dict:
+def bench(tx_count: int, peer_count: int = 3) -> dict:
     """Drive tx_count submissions across a peer_count network and report
     throughput plus p50/p95 latency in milliseconds."""
     net = SimulatedNetwork(
         n_peers=peer_count,
-        seed=seed,
+        seed=SEED,
         genesis_time=0,
-        orderer=OrdererConfig(max_block_txs=max_block_txs, tick_seconds=1),
+        orderer=OrdererConfig(max_block_txs=MAX_BLOCK_TXS, tick_seconds=1),
     )
     cnas = [f"cna.bench{i}" for i in range(max(1, peer_count))]
     for cna in cnas:
@@ -54,7 +51,7 @@ def bench(
     committed = 0
     seq = 1
     while committed < tx_count:
-        batch = min(max_block_txs, tx_count - committed)
+        batch = min(MAX_BLOCK_TXS, tx_count - committed)
         for _ in range(batch):
             record = _bench_record(seq, cnas[(seq - 1) % len(cnas)])
             t0 = time.perf_counter()

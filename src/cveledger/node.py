@@ -9,6 +9,7 @@ pipeline, and each committed block is in the file before the call returns.
 from __future__ import annotations
 
 import json
+import os
 import secrets
 import time
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from .canonical import to_canonical_json, typed
 from .chaincode import OP_CHECK_EMBARGO, OP_UPDATE_STATUS
 from .corrections import OP_DISPUTE, OP_MERGE, OP_PARTIAL_DUP, OP_REJECT, OP_SPLIT
 from .errors import LedgerError
-from .identity import Certificate, CertificateAuthority, KeyPair, RevocationList, derive_keypair
+from .identity import ROLE_CNA, Certificate, CertificateAuthority, KeyPair, RevocationList, derive_keypair
 from .ledger import Block, EndorsementPolicy, state_hash
 from .network import DEFAULT_GOVERNANCE, OrdererConfig, SimulatedNetwork, SubmitResult, build_consortium
 from .records import parse_cve_id
@@ -35,43 +36,49 @@ CERTS_DIR = "certs"
 
 @dataclass(frozen=True)
 class NodeConfig:
+    """The `config.json` settings, each read by the node. The endorsement
+    policy and the peer set live in the genesis block; older keys are ignored."""
+
     orderer: OrdererConfig = field(default_factory=OrdererConfig)
-    policy: EndorsementPolicy = field(default_factory=EndorsementPolicy)
     ca_key_path: str = f"{KEYS_DIR}/ca.json"
-    identity_key_path: str = f"{KEYS_DIR}/{DEFAULT_GOVERNANCE}.json"
     listen_port: int = 8440
     governance_id: str = DEFAULT_GOVERNANCE
-    peer_count: int = 3
 
     def to_dict(self) -> dict:
         return {
             "ordererConfig": self.orderer.to_dict(),
-            "endorsementPolicy": self.policy.to_dict(),
             "caKeyPath": self.ca_key_path,
-            "identityKeyPath": self.identity_key_path,
             "listenPort": self.listen_port,
             "governanceId": self.governance_id,
-            "peerCount": self.peer_count,
         }
 
     @classmethod
     def from_dict(cls, obj: dict) -> "NodeConfig":
-        policy = typed(obj.get("endorsementPolicy", {}), dict, "endorsementPolicy")
         return cls(
             orderer=OrdererConfig.from_dict(typed(obj.get("ordererConfig", {}), dict, "ordererConfig")),
-            policy=EndorsementPolicy.from_dict(policy),
             ca_key_path=typed(obj.get("caKeyPath", f"{KEYS_DIR}/ca.json"), str, "caKeyPath"),
-            identity_key_path=typed(
-                obj.get("identityKeyPath", f"{KEYS_DIR}/{DEFAULT_GOVERNANCE}.json"), str, "identityKeyPath"
-            ),
             listen_port=typed(obj.get("listenPort", 8440), int, "listenPort"),
             governance_id=typed(obj.get("governanceId", DEFAULT_GOVERNANCE), str, "governanceId"),
-            peer_count=typed(obj.get("peerCount", 3), int, "peerCount"),
         )
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(to_canonical_json(obj) + "\n", encoding="utf-8")
+    """Replace `path` with `obj` so a crash leaves the old file or the new
+    one: write a temp file in the same dir, fsync it, rename it over `path`."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(to_canonical_json(obj) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _key_file(key: KeyPair) -> dict:
+    return {"seedHex": key.seed_hex, "publicKey": key.public_hex}
 
 
 def read_json_file(path: str | Path, kind: type = dict, parse=None):
@@ -144,12 +151,13 @@ class Node:
         seed: bytes | None = None,
     ) -> "Node":
         """Create the CA, bootstrap governance, peer identities, and the
-        genesis block, then open the data dir like any other. Keys come
-        from `seed` when one is given, else are random. Every key is
-        written to `keys/`, and `open` puts all but the CA's in `net.keys`,
-        so governance and the peers can sign; `issue` adds the others. The
-        dir is written under the writer lock; a writer that takes the lock
-        before `open` makes init fail."""
+        genesis block, then open the data dir like any other. `policy` and
+        `peer_count` go into the genesis block only, which is where `open`
+        finds them. Keys come from `seed` when one is given, else are
+        random. Every key is written to `keys/` once, and `open` puts all
+        but the CA's in `net.keys`, so governance and the peers can sign;
+        `issue` adds the others. The dir is written under the writer lock;
+        a writer that takes the lock before `open` makes init fail."""
         data_dir = Path(data_dir)
         data_dir.mkdir(parents=True, exist_ok=True)
         if (data_dir / LEDGER_FILE).exists():
@@ -159,11 +167,7 @@ class Node:
         with DataDirLock(data_dir):
             genesis_time = int(time.time()) if genesis_time is None else int(genesis_time)
             policy = policy or EndorsementPolicy(rule="ANY_N", n=1)
-            config = NodeConfig(
-                policy=policy,
-                listen_port=listen_port,
-                peer_count=peer_count,
-            )
+            config = NodeConfig(listen_port=listen_port)
 
             def new_key(label: str) -> KeyPair:
                 return KeyPair.generate() if seed is None else derive_keypair(seed, label)
@@ -175,10 +179,9 @@ class Node:
             append_block_file(data_dir / LEDGER_FILE, genesis)
             _write_json(data_dir / CONFIG_FILE, config.to_dict())
             _write_json(data_dir / CRL_FILE, RevocationList().to_dict())
-            cls._persist_ca(data_dir, config, ca)
+            _write_json(data_dir / config.ca_key_path, _key_file(ca.key))
             for name, key in keys.items():
-                key_file = {"seedHex": key.seed_hex, "publicKey": key.public_hex}
-                _write_json(data_dir / KEYS_DIR / f"{name}.json", key_file)
+                _write_json(data_dir / KEYS_DIR / f"{name}.json", _key_file(key))
             _write_json(data_dir / CERTS_DIR / f"{gov_id}.json", gov_cert.to_dict())
         return cls.open(data_dir)
 
@@ -186,7 +189,12 @@ class Node:
     def open(cls, data_dir: str | Path) -> "Node":
         """Load config, keys, certificates, and the ledger (recovering a
         truncated tail if a previous append was interrupted). `net.keys`
-        holds every key in `keys/` but the CA's."""
+        holds every key in `keys/` but the CA's. Nothing else is stored
+        twice: the CA's next serial is one above the highest in `certs/`
+        and the CRL (`issue` writes each certificate before it returns),
+        and the CRL is joined with the chain's revocations, revoking the
+        certificate of each CNA the replayed state holds but no longer
+        authorizes."""
         data_dir = Path(data_dir)
         lock = DataDirLock(data_dir)
         try:
@@ -201,30 +209,25 @@ class Node:
                 path.stem: read_json_file(path, parse=Certificate.from_dict)
                 for path in sorted((data_dir / CERTS_DIR).glob("*.json"))
             }
-            live = {name: cert for name, cert in certs.items() if cert.serial not in crl.revoked_serials}
-            ca_key, next_serial = read_json_file(
-                data_dir / config.ca_key_path,
-                parse=lambda o: (_key_pair(o), typed(o.get("nextSerial", 1), int, "nextSerial")),
-            )
+            ca_key = read_json_file(data_dir / config.ca_key_path, parse=_key_pair)
+            next_serial = 1 + max({cert.serial for cert in certs.values()} | crl.revoked_serials, default=0)
+            ca = CertificateAuthority(ca_key, next_serial=next_serial, live=certs, crl=crl)
             net = SimulatedNetwork.from_materials(
-                ca=CertificateAuthority(ca_key, next_serial=next_serial, live=live, crl=crl),
+                ca=ca,
                 keys=keys,
                 certs=certs,
                 chain=chain,
                 orderer=config.orderer,
                 governance_id=config.governance_id,
             )
+            state = net.peers[0].state
+            for cert in state.certificates.values():
+                if cert.role == ROLE_CNA and cert.subject not in state.authorized_cnas:
+                    ca.revoke(cert.serial)
         except BaseException:
             lock.release()
             raise
         return cls(data_dir, config, net, lock)
-
-    @classmethod
-    def _persist_ca(cls, data_dir: Path, config: NodeConfig, ca: CertificateAuthority) -> None:
-        _write_json(
-            data_dir / config.ca_key_path,
-            {"seedHex": ca.key.seed_hex, "publicKey": ca.public_key, "nextSerial": ca.next_serial},
-        )
 
     def close(self) -> None:
         self._lock.release()
@@ -244,12 +247,8 @@ class Node:
         )
         self.net.keys[participant] = key
         self.net.certs[participant] = cert
-        _write_json(
-            self.data_dir / KEYS_DIR / f"{participant}.json",
-            {"seedHex": key.seed_hex, "publicKey": key.public_hex},
-        )
+        _write_json(self.data_dir / KEYS_DIR / f"{participant}.json", _key_file(key))
         _write_json(self.data_dir / CERTS_DIR / f"{participant}.json", cert.to_dict())
-        self._persist_ca(self.data_dir, self.config, self.net.ca)
         return cert
 
     # -- mutations ---------------------------------------------------------------

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from cveledger.errors import LedgerCorrupt, LedgerError
-from cveledger.ledger import EndorsementPolicy
 from cveledger.network import OrdererConfig
 from cveledger.node import Node, NodeConfig
 
@@ -23,9 +22,7 @@ class TestNodeConfig:
     def test_roundtrip_lossless(self):
         config = NodeConfig(
             orderer=OrdererConfig(max_block_txs=50, tick_seconds=2),
-            policy=EndorsementPolicy(rule="MAJORITY_OF", orgs=frozenset({"org0", "org1", "org2"})),
             listen_port=9000,
-            peer_count=4,
         )
         assert NodeConfig.from_dict(config.to_dict()) == config
         assert NodeConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
