@@ -3,6 +3,11 @@
 All output is JSON: results on stdout, errors as a single line on stderr.
 Exit codes: 0 success, 1 domain error (guard failure, invalid audit),
 2 usage error.
+
+Read commands never write the ledger. `audit` writes one file, the audit
+watermark next to it (`storage.audit_file`), so that the next audit
+verifies only the blocks appended since; `serve` writes it on each
+`GET /v1/audit`, and `replay` and `query` write nothing.
 """
 
 from __future__ import annotations

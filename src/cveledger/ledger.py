@@ -368,14 +368,40 @@ def append_block(chain: list[Block], txs, clock_now: int, trust: TrustAnchors) -
 
 
 class _VerifyContext:
-    """Rolling verification state: previous block linkage plus the caller
-    verification keys learned so far (governance from genesis, CNAs from
-    the certificates embedded in onboarding transactions)."""
+    """Rolling verification state after the block at `height`: its hash
+    and time, plus the caller verification keys learned so far (governance
+    from genesis, CNAs from the certificates embedded in onboarding
+    transactions). A fresh context stands before genesis. `to_dict` and
+    `from_dict` carry it from one audit to the next."""
 
     def __init__(self) -> None:
+        self.height = -1
         self.prev_hash = ZERO_HASH
         self.prev_time: int | None = None
         self.caller_keys: dict[str, str] = {}
+
+    def to_dict(self) -> dict:
+        return {
+            "callerKeys": dict(self.caller_keys),
+            "height": self.height,
+            "prevTime": self.prev_time,
+            "tipHash": self.prev_hash,
+        }
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "_VerifyContext":
+        """The context `to_dict` wrote, after at least the genesis block;
+        ValueError or KeyError unless every field has its type."""
+        ctx = cls()
+        ctx.height = typed(obj["height"], int, "height")
+        ctx.prev_hash = obj["tipHash"]
+        ctx.prev_time = typed(obj["prevTime"], int, "prevTime")
+        ctx.caller_keys = {
+            name: typed(key, str, "callerKeys") for name, key in typed(obj["callerKeys"], dict, "callerKeys").items()
+        }
+        if ctx.height < 0 or not is_hex_digest(ctx.prev_hash, 64):
+            raise ValueError("height must be non-negative and tipHash 64 lowercase hex chars")
+        return ctx
 
 
 def _onboarded_key(tx: Transaction, ca_public_key: str) -> tuple[str, str] | None:
@@ -444,6 +470,13 @@ class ChainAuditor:
     or other spelling), and that block passes `_verify_block`. A partial
     tail counts as corruption.
 
+    An audit may resume where an earlier one of the same first lines
+    ended: `start` is the context dict that audit returned. The trust
+    anchors are then read from the genesis line, and every later line runs
+    through the same loop and checks as in a full audit, which is that loop
+    started before genesis. Whether those first lines are still the ones
+    verified is the caller's to know (`storage.audit_file` digests them).
+
     Verdicts are cached on `(prev_hash, sha256(line))`: the hash that
     commits the line's context, and the line. The cache is only consulted
     once every earlier line has verified, and then the previous block's
@@ -459,24 +492,35 @@ class ChainAuditor:
         self._memo: dict[tuple[str, str], tuple] = {}
 
     def audit_bytes(self, data: bytes) -> AuditReport:
+        return self.audit(data)[0]
+
+    def audit(self, data: bytes, start: dict | None = None) -> tuple[AuditReport, dict | None]:
+        """The report on `data`, and for a valid one the context dict to
+        resume from once more lines are appended. A `start` that is not the
+        context after the block on its height's line, or names no line of
+        `data`, raises ValueError."""
         lines, tail = split_lines(data)
         if tail:
-            return AuditReport(valid=False, first_bad_height=len(lines), reason=HASH_MISMATCH)
+            return AuditReport(valid=False, first_bad_height=len(lines), reason=HASH_MISMATCH), None
         if not lines:
-            return AuditReport(valid=False, first_bad_height=0, reason=HASH_MISMATCH)
+            return AuditReport(valid=False, first_bad_height=0, reason=HASH_MISMATCH), None
 
-        ctx = _VerifyContext()
-        trust = None  # read from the genesis line
-        for index, line in enumerate(lines):
+        if start is None:
+            ctx, trust = _VerifyContext(), None  # trust is read from the genesis line
+        else:
+            ctx, trust = _resume(lines, start)
+        for index in range(ctx.height + 1, len(lines)):
+            line = lines[index]
             key = (ctx.prev_hash, sha256_hex(line))
             hit = self._memo.get(key)
             if hit is None:
                 hit = self._memo[key] = self._verify_line(index, line, ctx, trust)
             reason, exported, ctx.prev_hash, ctx.prev_time, trust = hit
             if reason is not None:
-                return AuditReport(valid=False, first_bad_height=index, reason=reason)
+                return AuditReport(valid=False, first_bad_height=index, reason=reason), None
             ctx.caller_keys.update(exported)
-        return AuditReport(valid=True)
+            ctx.height = index
+        return AuditReport(valid=True), ctx.to_dict()
 
     def _verify_line(self, index, line, ctx, trust):
         try:
@@ -489,6 +533,21 @@ class ChainAuditor:
             return HASH_MISMATCH, {}, None, None, None
         reason, exported = _verify_block(block, ctx, trust)
         return reason, exported, block.block_hash, block.block_time, trust
+
+
+def _resume(lines: list[bytes], start: dict) -> tuple[_VerifyContext, TrustAnchors]:
+    """The context and trust anchors to audit the lines after `start`'s
+    height with. ValueError unless that height's line is the block whose
+    hash and time `start` holds, and the genesis line holds the anchors."""
+    try:
+        ctx = _VerifyContext.from_dict(start)
+        tip = parse_line(lines[ctx.height])
+        trust = TrustAnchors.from_genesis(parse_line(lines[0]))
+    except (IndexError, KeyError, LedgerCorrupt) as exc:
+        raise ValueError(f"no block to resume after: {exc!r}") from None
+    if (tip.height, tip.block_hash, tip.block_time) != (ctx.height, ctx.prev_hash, ctx.prev_time):
+        raise ValueError(f"the block at height {ctx.height} is not the one the audit ended on")
+    return ctx, trust
 
 
 def verify_chain(chain: list[Block]) -> AuditReport:

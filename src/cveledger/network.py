@@ -92,9 +92,10 @@ class Peer:
 
     def endorse(self, tx: Transaction, crl):
         """Signature over the payload iff the caller has a certificate in the
-        state (and it is not revoked), the payload signature holds, and a dry
-        run of the chaincode passes every guard. Otherwise a Refusal naming the
-        failed guard. The CA signature is not checked again: genesis and
+        state, the payload signature holds, a dry run of the chaincode passes
+        every guard, and neither the caller's certificate nor the one an
+        onboarding carries is revoked. Otherwise a Refusal naming the failed
+        guard. The CA signature is not checked again: genesis and
         onboarding, the only ways into `state.certificates`, checked it."""
         payload = tx.payload
         caller = payload["caller"]
@@ -113,8 +114,12 @@ class Peer:
             )
         except LedgerError as exc:
             return Refusal(self.peer_id, exc.code, str(exc))
-        if cert.serial in crl.revoked_serials:
-            return Refusal(self.peer_id, "Revoked", f"certificate serial {cert.serial} revoked")
+        serials = [cert.serial]
+        if payload["op"] == OP_ONBOARD:  # the dry run has decoded its certificate
+            serials.append(Certificate.from_dict(payload["args"]["certificate"]).serial)
+        for serial in serials:
+            if serial in crl.revoked_serials:
+                return Refusal(self.peer_id, "Revoked", f"certificate serial {serial} revoked")
         return self.peer_id, sign_payload(self.key, tx.payload_bytes()).hex()
 
     def commit_block(self, block: Block) -> None:
@@ -417,7 +422,10 @@ def _drive(script: dict | list) -> tuple[SimulatedNetwork, list[dict], list[dict
         out: dict = {"atTick": int(entry.get("atTick", 0)), "action": kind}
         if kind == "onboard":
             cna = args["cna"]
-            result = net.onboard(cna, net.certs.get(cna) or net.issue_identity(cna, ROLE_CNA), caller)
+            cert = net.certs.get(cna)
+            if cert is None or cert.serial in net.crl.revoked_serials:  # a revoked one cannot onboard
+                cert = net.issue_identity(cna, ROLE_CNA)
+            result = net.onboard(cna, cert, caller)
         elif kind == "revoke":
             result = net.revoke(args["cna"], caller)
         elif kind == "submit":

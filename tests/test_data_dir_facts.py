@@ -18,7 +18,7 @@ import pytest
 from cveledger import node as node_module
 from cveledger.chaincode import OP_CHECK_EMBARGO
 from cveledger.cli import main
-from cveledger.errors import PolicyUnsatisfied
+from cveledger.errors import LedgerError, PolicyUnsatisfied
 from cveledger.identity import ROLE_CNA
 from cveledger.ledger import EndorsementPolicy, append_block
 from cveledger.node import CERTS_DIR, CONFIG_FILE, CRL_FILE, KEYS_DIR, LEDGER_FILE, Node
@@ -170,20 +170,32 @@ def test_a_lost_crl_write_does_not_undo_a_committed_revoke(tmp_path, capsys):
 
 def test_the_fold_keeps_an_intact_crl_and_already_revoked(tmp_path):
     data_dir = tmp_path / "d"
-    cert_file = tmp_path / "alpha.cert.json"
+    alpha_file, beta_file = tmp_path / "alpha.cert.json", tmp_path / "beta.cert.json"
     with Node.init(data_dir, genesis_time=1000, seed=SEED) as node:
-        cert_file.write_text(json.dumps(node.issue("cna.alpha", ROLE_CNA).to_dict()))
-        node.onboard("cna.alpha", cert_file)
+        alpha = node.issue("cna.alpha", ROLE_CNA)
+        alpha_file.write_text(json.dumps(alpha.to_dict()))
+        node.onboard("cna.alpha", alpha_file)
         node.revoke("cna.alpha")
+        beta = node.issue("cna.beta", ROLE_CNA)
+        beta_file.write_text(json.dumps(beta.to_dict()))
+        node.onboard("cna.beta", beta_file)
         crl = node.net.crl
     assert crl.version == 1
+    ledger = (data_dir / LEDGER_FILE).read_bytes()
     with Node.open(data_dir) as node:
         assert node.net.crl == crl
-        node.onboard("cna.alpha", cert_file)  # its serial stays revoked
+        # a revoked certificate cannot onboard its CNA again
+        refused = node.net.onboard("cna.alpha", alpha, node.config.governance_id)
+        assert not refused.accepted and {r.code for r in refused.refusals} == {"Revoked"}
+        with pytest.raises(LedgerError, match=f"certificate serial {alpha.serial} revoked"):
+            node.onboard("cna.alpha", alpha_file)
+        assert "cna.alpha" not in node.state.authorized_cnas
+    assert (data_dir / LEDGER_FILE).read_bytes() == ledger
+    # a crl.json that already lists an authorized CNA's serial
+    (data_dir / CRL_FILE).write_text(json.dumps({"version": 2, "revokedSerials": [alpha.serial, beta.serial]}))
     with Node.open(data_dir) as node:
-        assert node.net.crl == crl
-        out = node.revoke("cna.alpha")
-    assert out["notice"] == "AlreadyRevoked" and out["crlVersion"] == crl.version
+        out = node.revoke("cna.beta")
+    assert out["notice"] == "AlreadyRevoked" and out["crlVersion"] == 2
 
 
 # -- (e) a failed write leaves the previous file -------------------------------------------
