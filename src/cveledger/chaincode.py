@@ -92,6 +92,16 @@ class Event:
             "payload": self.payload,
         }
 
+    @classmethod
+    def from_dict(cls, obj: dict) -> "Event":
+        return cls(
+            kind=typed(obj["kind"], str, "kind"),
+            subject=typed(obj["subject"], str, "subject"),
+            block_height=typed(obj["blockHeight"], int, "blockHeight"),
+            tx_index=typed(obj["txIndex"], int, "txIndex"),
+            payload=typed(obj["payload"], dict, "payload"),
+        )
+
 
 class _DryRunStop(Exception):
     """Raised by the first write of a dry run: every guard has passed."""
@@ -250,6 +260,37 @@ class WorldState:
         other.clock_now, other._height, other._event_seq = self.clock_now, self._height, self._event_seq
         other._embargo_heap = list(self._embargo_heap)
         return other
+
+    @classmethod
+    def from_dict(cls, obj: dict, height: int) -> "WorldState":
+        """The inverse of `to_dict`: the state after the block at `height`
+        whose snapshot is `obj`. Records are filed under their own ids. The
+        embargo heap gets one entry per stored draft: the other entries a
+        replayed heap may hold are stale ones, which the sweep drops. The
+        query index stays lazy, and `_height`/`_event_seq` are as
+        `begin_block` leaves them. A value of the wrong shape raises
+        KeyError, TypeError, ValueError or a LedgerError."""
+        state = cls()
+        for entry in typed(obj["cveRegistry"], dict, "cveRegistry").values():
+            record = record_from_dict(entry)
+            state.cve_registry[record.cve_id] = record
+        state.authorized_cnas = dict(typed(obj["authorizedCNAs"], dict, "authorizedCNAs"))
+        state.governance_members = set(typed(obj["governanceMembers"], list, "governanceMembers"))
+        counters = typed(obj["idCounters"], dict, "idCounters")
+        state.id_counters = {int(year): typed(count, int, "idCounters") for year, count in counters.items()}
+        state.event_log = [Event.from_dict(event) for event in typed(obj["eventLog"], list, "eventLog")]
+        certificates = typed(obj["certificates"], dict, "certificates")
+        state.certificates = {subject: Certificate.from_dict(cert) for subject, cert in certificates.items()}
+        state.ca_public_key = typed(obj["caPublicKey"], str, "caPublicKey")
+        state.failed_txs = list(typed(obj["failedTxs"], list, "failedTxs"))
+        state._embargo_heap = [
+            (record.embargo_until, cid.year, cid.sequence)
+            for cid, record in state.cve_registry.items()
+            if record.status is CveStatus.DRAFT
+        ]
+        heapq.heapify(state._embargo_heap)
+        state.begin_block(height, typed(obj["clockNow"], int, "clockNow"))
+        return state
 
     def query_index(self) -> dict[tuple[str, object], set[CveId]]:
         """The query index, built by one pass over the registry on first

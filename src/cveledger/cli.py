@@ -4,10 +4,14 @@ All output is JSON: results on stdout, errors as a single line on stderr.
 Exit codes: 0 success, 1 domain error (guard failure, invalid audit),
 2 usage error.
 
-Read commands never write the ledger. `audit` writes one file, the audit
-watermark next to it (`storage.audit_file`), so that the next audit
-verifies only the blocks appended since; `serve` writes it on each
-`GET /v1/audit`, and `replay` and `query` write nothing.
+Read commands never write the ledger. Writers leave the state checkpoint
+next to it (`ledger.jsonl.state`) after each committed block, so that the
+next write or `query` decodes and replays only the blocks appended since.
+`audit` writes one file, the audit watermark (`storage.audit_file`), so
+that the next audit verifies only the blocks appended since; `serve`
+writes it on each `GET /v1/audit`, and `replay` and `query` write nothing.
+`replay` and `serve` load the ledger from genesis, never from the
+checkpoint: `replay` is the oracle the checkpoint is checked against.
 """
 
 from __future__ import annotations
@@ -23,11 +27,11 @@ from .canonical import to_canonical_json
 from .decision import DecisionInputs, decide_architecture
 from .errors import LedgerError
 from .identity import ROLE_CNA, ROLE_GOVERNANCE, ROLE_READER
-from .ledger import replay, state_hash
+# replay and read_chain are looked up here by the benchmark's span tracer
+from .ledger import replay, state_hash  # noqa: F401
 from .node import LEDGER_FILE, Node, load_data_dir, read_json_file
 from .records import CveStatus
-# read_chain is looked up here by the benchmark's span tracer
-from .storage import audit_file, read_chain
+from .storage import audit_file, read_chain  # noqa: F401
 
 DEFAULT_DATA_DIR = os.environ.get("CVELEDGER_DATA_DIR", "./cveledger-data")
 
@@ -139,13 +143,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_readonly(data_dir: Path):
-    """Config, chain and state for read-only commands; tolerates a crash tail
-    without taking the writer lock or touching the file."""
-    config, chain = load_data_dir(data_dir)
-    return config, chain, replay(chain)
-
-
 def _merge_meta(candidates: list) -> list:
     if not all(isinstance(c, dict) and isinstance(c.get("cveID"), str) for c in candidates):
         raise TypeError("each entry must be an object with a string cveID")
@@ -193,7 +190,7 @@ def _run(args) -> int:
         return 0 if report.valid else 1
 
     if command == "replay":
-        _, chain, state = _load_readonly(data_dir)
+        _, chain, state, _ = load_data_dir(data_dir, checkpoint=False)
         _emit({"stateHash": state_hash(state), "height": chain[-1].height})
         return 0
 
@@ -201,7 +198,7 @@ def _run(args) -> int:
         from .ledger import query_public
         from .records import parse_cve_id
 
-        _, _, state = _load_readonly(data_dir)
+        _, _, state, _ = load_data_dir(data_dir)
         filters: dict = {}
         if args.status is not None:
             filters["status"] = CveStatus(args.status)
@@ -219,7 +216,7 @@ def _run(args) -> int:
     if command == "serve":
         from .httpapi import serve_queries
 
-        config, chain, state = _load_readonly(data_dir)
+        config, chain, state, _ = load_data_dir(data_dir, checkpoint=False)
         port = args.port if args.port is not None else config.listen_port
         server = serve_queries(state, chain, port=port, ledger_path=data_dir / LEDGER_FILE)
         _emit({"serving": f"http://127.0.0.1:{server.server_address[1]}", "height": chain[-1].height})

@@ -6,7 +6,10 @@ in `ledger.jsonl` is its canonical JSON and a newline (`block_line`). The
 file auditor (`ChainAuditor`) accepts a line only if the block it decodes
 to encodes back to exactly that line, so every byte of a line is covered
 by at least one check and any post-commit mutation is detectable by audit.
-Readers only decode lines (`parse_line`) and check links (`replay`).
+The loader behind `Node.open` and the CLI's readers runs every one of
+those checks but the signatures on each line it decodes (`checked_block`)
+and checks links as it replays; the library readers `storage.read_chain`
+and `replay` only decode lines (`parse_line`) and check links.
 
 Verification is chain-self-contained: the trust root (CA key, bootstrap
 governance certificates, peer keys, endorsement policy) lives in the
@@ -19,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable
@@ -268,6 +272,29 @@ def parse_line(line: bytes) -> Block:
     return Block.from_dict(obj)
 
 
+def checked_block(index: int, line: bytes, prev_hash: str) -> Block:
+    """The block on the line at `index` (newline excluded), once it passes
+    every check the auditor runs on a line but the clock and the
+    signatures: the line decodes to the block at height `index`, it is
+    exactly that block's line, the block links to `prev_hash`, the hash of
+    the block before it, and its tx ids and hash recompute. Otherwise
+    LedgerCorrupt at `index`, the height at which the audit reports
+    HASH_MISMATCH."""
+    try:
+        block = parse_line(line)
+        exact = block.height == index and block_line(block) == line + b"\n"
+        hashes = _hashes_recompute(block)
+    except (KeyError, ValueError) as exc:
+        raise LedgerCorrupt(f"undecodable block at height {index}: {exc}", height=index) from None
+    if not exact:
+        raise LedgerCorrupt(f"the line at height {index} is not its block's exact encoding", height=index)
+    if block.prev_hash != prev_hash:
+        raise LedgerCorrupt(f"block {index} does not link to its predecessor", height=index)
+    if not hashes:
+        raise LedgerCorrupt(f"a transaction id or the block hash does not recompute at height {index}", height=index)
+    return block
+
+
 def split_lines(data: bytes) -> tuple[list[bytes], bytes]:
     """The newline-terminated lines of `data`, and the bytes after the last
     newline (the whole of `data` when it has none)."""
@@ -275,6 +302,33 @@ def split_lines(data: bytes) -> tuple[list[bytes], bytes]:
     if not sep:
         return [], data
     return (complete.split(b"\n") if complete else []), tail
+
+
+class LineChain(Sequence):
+    """A chain whose first blocks are kept as their ledger lines, each
+    decoded only when it is indexed: what `storage.load_ledger` returns,
+    which holds the lines' bytes instead of every decoded block.
+    `chain + blocks` is a new LineChain that shares those lines, so
+    `append_block` copies only the blocks after them."""
+
+    def __init__(self, lines: list[bytes], blocks: list[Block] | None = None):
+        self._lines = lines
+        self._blocks = blocks or []
+
+    def __len__(self) -> int:
+        return len(self._lines) + len(self._blocks)
+
+    def __getitem__(self, index: int) -> Block:
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("chain index out of range")
+        if index < len(self._lines):
+            return parse_line(self._lines[index])
+        return self._blocks[index - len(self._lines)]
+
+    def __add__(self, blocks) -> "LineChain":
+        return LineChain(self._lines, self._blocks + list(blocks))
 
 
 @dataclass(frozen=True)
@@ -351,9 +405,10 @@ def check_endorsements(tx: Transaction, trust: TrustAnchors) -> bool:
     return trust.policy.satisfied({trust.peer_orgs.get(p, p) for p in peers}, len(peers))
 
 
-def append_block(chain: list[Block], txs, clock_now: int, trust: TrustAnchors) -> list[Block]:
-    """Extend the chain with one block. Every transaction must already
-    satisfy the endorsement policy; the clock may not run backwards."""
+def append_block(chain: Sequence[Block], txs, clock_now: int, trust: TrustAnchors) -> Sequence[Block]:
+    """`chain` extended with one block, `chain` itself left as it was. Every
+    transaction must already satisfy the endorsement policy; the clock may
+    not run backwards."""
     if not chain:
         raise ValueError("append_block needs a genesis block in place")
     tip = chain[-1]
@@ -416,23 +471,31 @@ def _onboarded_key(tx: Transaction, ca_public_key: str) -> tuple[str, str] | Non
     return (cert.subject, cert.public_key) if cert.signed_by(ca_public_key) else None
 
 
+def _hashes_recompute(block: Block) -> bool:
+    """Whether the block's tx ids hash their payloads and its hash its
+    header. Encoding a payload nested too deep raises ValueError."""
+    tx_ids = [sha256_hex(tx.payload_bytes()) for tx in block.txs]
+    return tx_ids == [tx.tx_id for tx in block.txs] and block.block_hash == compute_block_hash(
+        block.height, block.prev_hash, block.block_time, tx_ids
+    )
+
+
 def _verify_block(
     block: Block, ctx: _VerifyContext, trust: TrustAnchors
 ) -> tuple[str | None, dict[str, str]]:
     """Returns (reason or None, caller keys exported by this block). The
     caller has checked that the block's height is its index, so only the
     genesis block sees the context's first `prev_hash`, ZERO_HASH."""
-    if block.prev_hash != ctx.prev_hash:
+    if block.prev_hash != ctx.prev_hash or not _hashes_recompute(block):
         return HASH_MISMATCH, {}
+    return _verify_signed(block, ctx, trust)
 
-    for tx in block.txs:
-        if sha256_hex(tx.payload_bytes()) != tx.tx_id:
-            return HASH_MISMATCH, {}
-    recomputed = compute_block_hash(
-        block.height, block.prev_hash, block.block_time, [t.tx_id for t in block.txs]
-    )
-    if recomputed != block.block_hash:
-        return HASH_MISMATCH, {}
+
+def _verify_signed(
+    block: Block, ctx: _VerifyContext, trust: TrustAnchors
+) -> tuple[str | None, dict[str, str]]:
+    """`_verify_block` of a block that has passed `checked_block` after the
+    context's tip: the clock, the signatures and the endorsements."""
     if ctx.prev_time is not None and block.block_time < ctx.prev_time:
         return CLOCK_REGRESSION, {}
 
@@ -465,10 +528,11 @@ def _verify_block(
 class ChainAuditor:
     """Strict file auditor with per-line memoization.
 
-    A line is accepted only if it decodes to a block at its own height
-    that encodes back to exactly the line (no added key, whitespace, escape
-    or other spelling), and that block passes `_verify_block`. A partial
-    tail counts as corruption.
+    A line is accepted only if it passes `checked_block` (it decodes to a
+    block at its own height that encodes back to exactly the line, with no
+    added key, whitespace, escape or other spelling, and whose hashes
+    recompute), and that block passes `_verify_signed`. A partial tail
+    counts as corruption.
 
     An audit may resume where an earlier one of the same first lines
     ended: `start` is the context dict that audit returned. The trust
@@ -524,14 +588,12 @@ class ChainAuditor:
 
     def _verify_line(self, index, line, ctx, trust):
         try:
-            block = parse_line(line)
-            if block.height != index or block_line(block) != line + b"\n":
-                return HASH_MISMATCH, {}, None, None, None
+            block = checked_block(index, line, ctx.prev_hash)
             if index == 0:
                 trust = TrustAnchors.from_genesis(block)
-        except (KeyError, ValueError, LedgerCorrupt):
+        except LedgerCorrupt:
             return HASH_MISMATCH, {}, None, None, None
-        reason, exported = _verify_block(block, ctx, trust)
+        reason, exported = _verify_signed(block, ctx, trust)
         return reason, exported, block.block_hash, block.block_time, trust
 
 
@@ -584,8 +646,9 @@ def commit_block(state: WorldState, tip_hash: str, block: Block) -> str:
 def replay(chain: list[Block]) -> WorldState:
     """Fold `commit_block` over the chain from the zero hash: the one path
     from blocks to state, so every reader refuses a broken link at its
-    height. Links are all it checks; hashes and signatures are recomputed
-    only by `verify_chain` and the file auditor."""
+    height. Links are all it checks: `storage.load_ledger` also runs
+    `checked_block` on each line it folds, and only `verify_chain` and the
+    file auditor verify signatures."""
     state, tip = WorldState(), ZERO_HASH
     for block in chain:
         tip = commit_block(state, tip, block)
@@ -610,23 +673,54 @@ def _event_bytes(event: Event) -> bytes:
     return _kept(event, "_canonical", lambda e: to_canonical_bytes(e.to_dict()))
 
 
+def snapshot_lines(state: WorldState) -> tuple[dict, list[bytes], list[bytes]]:
+    """`state.to_dict()` in the pieces a state checkpoint holds: the summary
+    dict, the registry entries `"<id>":{...}` in key order, and the events
+    in log order. Entries and events are the canonical bytes kept on each
+    record and event, so only what is new since the last call is encoded.
+    Registry keys sort as strings (CVE-2025-10000 before CVE-2025-9999), and
+    so do the entries as bytes, since `"` sorts before every character of an
+    id. An entry is keyed by its record's id, which is the key
+    `WorldState.store` files it under."""
+    entries = sorted(map(_registry_entry_bytes, state.cve_registry.values()))
+    return state.summary_dict(), entries, list(map(_event_bytes, state.event_log))
+
+
+def state_from_snapshot(summary: dict, entries: list[bytes], events: list[bytes], height: int) -> WorldState:
+    """The inverse of `snapshot_lines`: `WorldState.from_dict` of the
+    snapshot after the block at `height`, each record and event keeping the
+    line it was decoded from as its canonical bytes instead of encoding
+    itself again. Only `state_hash` of the result, which splices those
+    lines, can tell whether they are the lines `snapshot_lines` wrote.
+    Lines that hold no snapshot raise KeyError, TypeError, ValueError or a
+    LedgerError."""
+    registry = json.loads(b"{" + b",".join(entries) + b"}")
+    log = json.loads(b"[" + b",".join(events) + b"]")
+    state = WorldState.from_dict({**summary, "cveRegistry": registry, "eventLog": log}, height)
+    for record, line in zip(state.cve_registry.values(), entries):
+        object.__setattr__(record, "_registry_entry", line)
+    for event, line in zip(state.event_log, events):
+        object.__setattr__(event, "_canonical", line)
+    return state
+
+
 def state_hash(state: WorldState) -> str:
     """SHA-256 of the canonical state snapshot; equal states, equal hashes.
 
     The digest is that of `to_canonical_bytes(state.to_dict())`, which the
-    tests keep as the oracle, but that snapshot is never built. Its registry
-    and event log, nearly all of its bytes, are spliced from canonical bytes
-    kept on each record and event, in the key order and separators of
-    `to_canonical_json`; only `state.summary_dict()` is encoded per call.
-    Registry keys sort as strings (CVE-2025-10000 before CVE-2025-9999), and
-    so do the entries `"<id>":{...}` as bytes, since `"` sorts before every
-    character of an id. An entry is keyed by its record's id, which is the
-    key `WorldState.store` files it under.
+    tests keep as the oracle, but that snapshot is never built: its registry
+    and event log, nearly all of its bytes, are spliced from the kept bytes
+    of `snapshot_lines`, in the key order and separators of
+    `to_canonical_json`; only the summary is encoded per call.
     """
-    parts = {key: to_canonical_bytes(value) for key, value in state.summary_dict().items()}
-    entries = sorted(map(_registry_entry_bytes, state.cve_registry.values()))
+    return snapshot_hash(*snapshot_lines(state))
+
+
+def snapshot_hash(summary: dict, entries: list[bytes], events: list[bytes]) -> str:
+    """`state_hash` of the state whose `snapshot_lines` are these."""
+    parts = {key: to_canonical_bytes(value) for key, value in summary.items()}
     parts["cveRegistry"] = b"{" + b",".join(entries) + b"}"
-    parts["eventLog"] = b"[" + b",".join(map(_event_bytes, state.event_log)) + b"]"
+    parts["eventLog"] = b"[" + b",".join(events) + b"]"
     digest = hashlib.sha256()
     for index, key in enumerate(sorted(parts)):
         digest.update(b'%s"%s":' % (b"," if index else b"{", key.encode()))

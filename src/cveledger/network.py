@@ -11,6 +11,7 @@ key seed).
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -200,13 +201,15 @@ class SimulatedNetwork:
         ca: CertificateAuthority,
         keys: dict[str, KeyPair],
         certs: dict[str, Certificate],
-        chain: list[Block],
+        chain: Sequence[Block],
         orderer: OrdererConfig,
         governance_id: str = DEFAULT_GOVERNANCE,
+        state: WorldState | None = None,
     ) -> "SimulatedNetwork":
-        """Rebuild a running network around an existing chain: it is replayed
-        once, each peer starts from its own copy of that state, and the orderer
-        resumes at the tip's clock. Without a seed, `issue_identity` refuses.
+        """Rebuild a running network around an existing chain: `state` is the
+        state after it (the chain is replayed once when none is given), each
+        peer starts from its own copy of that state, and the orderer resumes
+        at the tip's clock. Without a seed, `issue_identity` refuses.
 
         `keys` must hold every genesis peer's key, and it becomes the
         network's `keys` as given, so any participant in it may call, the
@@ -216,7 +219,7 @@ class SimulatedNetwork:
         net = cls.__new__(cls)
         net._attach(
             ca=ca, keys=keys, peer_keys=keys, certs=certs, chain=chain, orderer=orderer,
-            governance_id=governance_id, seed=None,
+            governance_id=governance_id, seed=None, state=state,
         )
         return net
 
@@ -227,14 +230,16 @@ class SimulatedNetwork:
         keys: dict[str, KeyPair],
         peer_keys: dict[str, KeyPair],
         certs: dict[str, Certificate],
-        chain: list[Block],
+        chain: Sequence[Block],
         orderer: OrdererConfig,
         governance_id: str,
         seed: bytes | None,
+        state: WorldState | None = None,
     ) -> None:
         """Set every field: the trust anchors and peers come from the genesis
-        block; `chain` is replayed once, and each peer gets a
-        `WorldState.copy()` and the tip."""
+        block; `chain` is replayed once unless its `state` is given, and each
+        peer gets a `WorldState.copy()` and the tip. The network keeps
+        `chain` itself, which `append_block` never mutates."""
         self.orderer = orderer
         self.seed = seed
         self.ca = ca
@@ -247,10 +252,14 @@ class SimulatedNetwork:
         for pid in pids:
             if pid not in peer_keys:
                 raise BadCertificate(f"missing signing key for peer {pid}")
-        state, tip = replay(chain), chain[-1].block_hash
-        self.peers = [Peer(pid, self.trust.peer_orgs[pid], peer_keys[pid], state.copy(), tip) for pid in pids]
-        self.chain = list(chain)
-        self.clock = chain[-1].block_time
+        if state is None:
+            state = replay(chain)
+        tip = chain[-1]
+        self.peers = [
+            Peer(pid, self.trust.peer_orgs[pid], peer_keys[pid], state.copy(), tip.block_hash) for pid in pids
+        ]
+        self.chain = chain
+        self.clock = tip.block_time
         self.pending: list[tuple[int, Transaction]] = []
         self._arrival_seq = 0
 

@@ -1,9 +1,11 @@
 """Operator node: durable storage wiring around the simulated network.
 
 One writer process per data dir (advisory lock). The ledger file is the
-only source of truth: opening a node replays it once and copies the state
-to each peer, every mutation runs the full endorse -> order -> commit
-pipeline, and each committed block is in the file before the call returns.
+only source of truth: opening a node loads it once (from the state
+checkpoint on, when a valid one covers a prefix) and copies the state to
+each peer, every mutation runs the full endorse -> order -> commit
+pipeline, and each committed block is in the file before the call returns,
+followed by a new checkpoint.
 """
 
 from __future__ import annotations
@@ -12,20 +14,29 @@ import json
 import os
 import secrets
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import errors
 from .canonical import to_canonical_json, typed
-from .chaincode import OP_CHECK_EMBARGO, OP_UPDATE_STATUS
+from .chaincode import OP_CHECK_EMBARGO, OP_UPDATE_STATUS, WorldState
 from .corrections import OP_DISPUTE, OP_MERGE, OP_PARTIAL_DUP, OP_REJECT, OP_SPLIT
 from .errors import LedgerError
 from .identity import ROLE_CNA, Certificate, CertificateAuthority, KeyPair, RevocationList, derive_keypair
-from .ledger import Block, EndorsementPolicy, state_hash
+from .ledger import Block, EndorsementPolicy, replay, state_hash
 from .network import DEFAULT_GOVERNANCE, OrdererConfig, SimulatedNetwork, SubmitResult, build_consortium
 from .records import parse_cve_id
 # audit_file is looked up here by the benchmark's span tracer
-from .storage import DataDirLock, append_block_file, audit_file, read_chain
+from .storage import (
+    DataDirLock,
+    LedgerDigest,
+    append_block_file,
+    audit_file,
+    load_ledger,
+    read_chain,
+    write_checkpoint,
+)
 
 LEDGER_FILE = "ledger.jsonl"
 CONFIG_FILE = "config.json"
@@ -64,10 +75,12 @@ class NodeConfig:
 
 def _write_json(path: Path, obj: dict) -> None:
     """Replace `path` with `obj` so a crash leaves the old file or the new
-    one: write a temp file in the same dir, fsync it, rename it over `path`."""
+    one: write a temp file in the same dir, fsync it, rename it over `path`.
+    The temp file is created mode 0600 whatever the umask, since some of
+    these files are signing keys."""
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600), "w", encoding="utf-8") as fh:
             fh.write(to_canonical_json(obj) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
@@ -101,21 +114,24 @@ def _key_pair(obj: dict) -> KeyPair:
     return KeyPair.from_seed_hex(typed(obj["seedHex"], str, "seedHex"))
 
 
-def load_data_dir(data_dir: Path, lock: DataDirLock | None = None) -> tuple[NodeConfig, list[Block]]:
-    """The config and chain of an initialized data dir, loaded the same way
-    for `Node` and the CLI's readers. A crash tail is dropped; given the
-    writer's `lock` (taken only once the dir is known to be initialized),
-    it is also repaired in the file."""
+def load_data_dir(
+    data_dir: Path, lock: DataDirLock | None = None, *, checkpoint: bool = True
+) -> tuple[NodeConfig, Sequence[Block], WorldState, LedgerDigest]:
+    """The config of an initialized data dir, and its ledger as
+    `storage.load_ledger` loads it (with the state checkpoint when
+    `checkpoint`), the same way for `Node` and the CLI's readers. A crash
+    tail is dropped; given the writer's `lock` (taken only once the dir is
+    known to be initialized), it is also repaired in the file."""
     config_path = data_dir / CONFIG_FILE
     if not config_path.exists():
         raise LedgerError(f"not an initialized data dir: {data_dir}")
     if lock is not None:
         lock.acquire()
     config = read_json_file(config_path, parse=NodeConfig.from_dict)
-    chain = read_chain(data_dir / LEDGER_FILE, recover=True, repair=lock is not None)
+    chain, state, digest = load_ledger(data_dir / LEDGER_FILE, repair=lock is not None, checkpoint=checkpoint)
     if not chain:
         raise LedgerError(f"ledger file has no genesis block: {data_dir}")
-    return config, chain
+    return config, chain, state, digest
 
 
 def _refusal_error(result: SubmitResult) -> LedgerError:
@@ -131,11 +147,14 @@ def _refusal_error(result: SubmitResult) -> LedgerError:
 class Node:
     """A data-dir-backed consortium node driving the in-process network."""
 
-    def __init__(self, data_dir: Path, config: NodeConfig, net: SimulatedNetwork, lock: DataDirLock):
+    def __init__(
+        self, data_dir: Path, config: NodeConfig, net: SimulatedNetwork, lock: DataDirLock, digest: LedgerDigest
+    ):
         self.data_dir = Path(data_dir)
         self.config = config
         self.net = net
         self._lock = lock
+        self._digest = digest  # of the ledger file's bytes, for the next checkpoint
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -188,17 +207,22 @@ class Node:
     @classmethod
     def open(cls, data_dir: str | Path) -> "Node":
         """Load config, keys, certificates, and the ledger (recovering a
-        truncated tail if a previous append was interrupted). `net.keys`
-        holds every key in `keys/` but the CA's. Nothing else is stored
-        twice: the CA's next serial is one above the highest in `certs/`
-        and the CRL (`issue` writes each certificate before it returns),
-        and the CRL is joined with the chain's revocations, revoking the
-        certificate of each CNA the replayed state holds but no longer
-        authorizes."""
+        truncated tail if a previous append was interrupted). The ledger is
+        loaded by `storage.load_ledger`: from the state checkpoint that the
+        last write left, when it still matches the file, so only the blocks
+        appended after it are decoded, checked and replayed; from genesis
+        otherwise. Either way every decoded line passes
+        `ledger.checked_block`, and a bad one refuses the open with
+        LedgerCorrupt at its height. `net.keys` holds every key in `keys/`
+        but the CA's. Nothing else is stored twice: the CA's next serial is
+        one above the highest in `certs/` and the CRL (`issue` writes each
+        certificate before it returns), and the CRL is joined with the
+        chain's revocations, revoking the certificate of each CNA the
+        loaded state holds but no longer authorizes."""
         data_dir = Path(data_dir)
         lock = DataDirLock(data_dir)
         try:
-            config, chain = load_data_dir(data_dir, lock)
+            config, chain, loaded, digest = load_data_dir(data_dir, lock)
             crl = read_json_file(data_dir / CRL_FILE, parse=RevocationList.from_dict)
             keys = {
                 path.stem: read_json_file(path, parse=_key_pair)
@@ -219,6 +243,7 @@ class Node:
                 chain=chain,
                 orderer=config.orderer,
                 governance_id=config.governance_id,
+                state=loaded,
             )
             state = net.peers[0].state
             for cert in state.certificates.values():
@@ -227,7 +252,7 @@ class Node:
         except BaseException:
             lock.release()
             raise
-        return cls(data_dir, config, net, lock)
+        return cls(data_dir, config, net, lock, digest)
 
     def close(self) -> None:
         self._lock.release()
@@ -258,12 +283,16 @@ class Node:
         return self._append(self.net.invoke(op, args, caller or self.config.governance_id))
 
     def _append(self, result: SubmitResult) -> dict:
-        """One CLI mutation == one transaction == one block."""
+        """One CLI mutation == one transaction == one block. Once the block
+        is in the file, the state after it is left as the checkpoint the
+        next open starts from."""
         if not result.accepted:
             raise _refusal_error(result)
         blocks = self.net.tick(self.net.clock)
+        path = self.data_dir / LEDGER_FILE
         for block in blocks:
-            append_block_file(self.data_dir / LEDGER_FILE, block)
+            self._digest.update(append_block_file(path, block))
+        write_checkpoint(path, self._digest, blocks[-1], self.state)
         return {
             "txId": result.tx.tx_id,
             "blocks": [b.block_hash for b in blocks],
@@ -349,9 +378,9 @@ class Node:
         return self.net.peers[0].state
 
     def replay_hash(self) -> str:
-        from .ledger import replay
-
-        return state_hash(replay(load_data_dir(self.data_dir)[1]))
+        """The state hash of a replay of the ledger file from genesis, the
+        oracle that the state loaded from a checkpoint is checked against."""
+        return state_hash(replay(read_chain(self.data_dir / LEDGER_FILE, recover=True, repair=False)))
 
     def memory_state_hash(self) -> str:
         return state_hash(self.state)

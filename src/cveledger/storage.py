@@ -1,54 +1,84 @@
 """Durable ledger storage: the `ledger.jsonl` file, one block line each.
 
-The file is the single source of truth; world state is always rebuilt by
-replay. What a line is (`block_line`, `parse_line`) and what the audit
-accepts (`ChainAuditor`) belong to `ledger`; this module owns the file:
-appends, crash recovery, the audit entry point with its watermark, and the
-writer lock. Readers and the auditor treat the file differently on
-purpose:
+The file is the single source of truth; world state is always rebuilt from
+it. What a line is (`block_line`, `parse_line`, `checked_block`) and what
+the audit accepts (`ChainAuditor`) belong to `ledger`; this module owns the
+file: appends, crash recovery, the loader with its state checkpoint, the
+audit entry point with its watermark, and the writer lock. Three kinds of
+reader treat the file differently on purpose:
 
-* readers (`read_chain`) only decode. At node start a trailing line
-  without its newline is crash residue from a killed append: it is
-  dropped with a warning and the file repaired. Anything else unreadable
-  is corruption and refuses to load.
-* the audit (`audit_file`) is strict. Every line must decode, re-encode
-  and verify; a partial tail counts as corruption, otherwise a mutation
-  that eats the final newline could masquerade as a crash. Lines it has
-  verified before are skipped only while the watermark's digest proves
-  they are byte for byte the same.
+* the loader (`load_ledger`), behind `Node.open` and the CLI's readers,
+  runs `checked_block` on every line it decodes and refuses a broken link.
+  Lines that a valid state checkpoint covers are neither decoded nor
+  replayed, while its digest proves they are byte for byte the ones the
+  writer left. At node start a trailing line without its newline is crash
+  residue from a killed append: it is dropped with a warning and the file
+  repaired.
+* the library reader (`read_chain`) only decodes, with the same crash
+  residue rule.
+* the audit (`audit_file`) is strict. Every line must pass every check,
+  signatures included; a partial tail counts as corruption, otherwise a
+  mutation that eats the final newline could masquerade as a crash. Lines
+  it has verified before are skipped only while the watermark's digest
+  proves they are byte for byte the same.
+
+The checkpoint and the watermark are caches, each checked against the
+ledger before use: neither is fsynced, a stale, torn or foreign one only
+costs the full path, and deleting one forces it.
 """
 
 from __future__ import annotations
 
 import fcntl
+import hashlib
 import json
 import logging
 import os
 import tempfile
+from collections.abc import Sequence
 from pathlib import Path
 
-from .canonical import is_hex_digest, sha256_hex, to_canonical_bytes, typed
-from .errors import LedgerCorrupt
-from .ledger import AuditReport, Block, ChainAuditor, block_line, parse_line, split_lines
+from .canonical import ZERO_HASH, is_hex_digest, to_canonical_bytes, typed
+from .chaincode import WorldState
+from .errors import LedgerCorrupt, LedgerError
+from .ledger import (
+    AuditReport,
+    Block,
+    ChainAuditor,
+    LineChain,
+    block_line,
+    checked_block,
+    commit_block,
+    parse_line,
+    snapshot_hash,
+    snapshot_lines,
+    split_lines,
+    state_from_snapshot,
+    state_hash,
+)
 
 logger = logging.getLogger(__name__)
-# A stale or unwritable watermark costs only a full audit. Its warnings go
-# to the application's logging setup, never to the CLI's stderr, which
-# carries at most one JSON error line.
+# A stale or unwritable watermark or checkpoint costs only the full path.
+# Their warnings go to the application's logging setup, never to the CLI's
+# stderr, which carries at most one JSON error line.
 _watermark_log = logging.getLogger(f"{__name__}.watermark")
 _watermark_log.addHandler(logging.NullHandler())
+_checkpoint_log = logging.getLogger(f"{__name__}.checkpoint")
+_checkpoint_log.addHandler(logging.NullHandler())
 
 
-def append_block_file(path: Path, block: Block) -> None:
+def append_block_file(path: Path, block: Block) -> bytes:
     """Single write + fsync per block: a crash can truncate at most the
-    trailing line."""
+    trailing line. Returns the line written."""
+    line = block_line(block)
     with open(path, "ab") as fh:
-        fh.write(block_line(block))
+        fh.write(line)
         fh.flush()
         os.fsync(fh.fileno())
+    return line
 
 
-def write_chain_file(path: Path, chain: list[Block]) -> None:
+def write_chain_file(path: Path, chain: Sequence[Block]) -> None:
     data = b"".join(block_line(b) for b in chain)
     with open(path, "wb") as fh:
         fh.write(data)
@@ -59,7 +89,7 @@ def write_chain_file(path: Path, chain: list[Block]) -> None:
 def read_chain(path: Path, *, recover: bool = False, repair: bool | None = None) -> list[Block]:
     """Load and structurally decode the chain. Decoding is all it checks:
     links are checked by `ledger.replay`; hashes, signatures and whether a
-    line is its block's exact encoding only by the auditor.
+    line is its block's exact encoding by `load_ledger` and the auditor.
 
     With recover=True a newline-less tail that fails to decode is dropped;
     otherwise any undecodable content raises LedgerCorrupt with the
@@ -76,38 +106,177 @@ def read_chain(path: Path, *, recover: bool = False, repair: bool | None = None)
             blocks.append(parse_line(line))
         except (KeyError, ValueError) as exc:
             raise LedgerCorrupt(f"undecodable block at height {index}: {exc}", height=index)
-    if tail:
-        index = len(lines)
-        try:
-            block = parse_line(tail)
-        except (KeyError, ValueError) as exc:
-            if not recover:
-                raise LedgerCorrupt(
-                    f"partial trailing line at height {index}: {exc}", height=index
-                )
-            logger.warning(
-                "dropping truncated trailing line at height %d (%d bytes of crash residue)",
-                index,
-                len(tail),
-            )
-            if repair:
-                with open(path, "r+b") as fh:
-                    fh.truncate(len(data) - len(tail))
-                    fh.flush()
-                    os.fsync(fh.fileno())
-            return blocks
-        # decodable but missing its newline: the write protocol always ends
-        # lines with one, so treat it the same way
-        if not recover:
-            raise LedgerCorrupt(f"missing newline after height {index}", height=index)
-        logger.warning("restoring missing newline after height %d", index)
+    block = _tail_block(len(lines), tail, recover=recover)
+    if block is not None:
         blocks.append(block)
-        if repair:
-            with open(path, "ab") as fh:
-                fh.write(b"\n")
-                fh.flush()
-                os.fsync(fh.fileno())
+    if repair:
+        _repair_tail(path, len(data), tail, block)
     return blocks
+
+
+def _tail_block(index: int, tail: bytes, *, recover: bool) -> Block | None:
+    """The block on `tail`, the bytes after the last newline of a ledger,
+    which would be at height `index`; None when there are none. Without
+    `recover` any such bytes raise LedgerCorrupt. With it, bytes that do
+    not decode are crash residue from a killed append, dropped with a
+    warning, and bytes that do decode are a line that lost its newline,
+    kept with a warning, since the write protocol always ends lines with
+    one."""
+    if not tail:
+        return None
+    try:
+        block = parse_line(tail)
+    except (KeyError, ValueError) as exc:
+        if not recover:
+            raise LedgerCorrupt(f"partial trailing line at height {index}: {exc}", height=index)
+        logger.warning(
+            "dropping truncated trailing line at height %d (%d bytes of crash residue)", index, len(tail)
+        )
+        return None
+    if not recover:
+        raise LedgerCorrupt(f"missing newline after height {index}", height=index)
+    logger.warning("restoring missing newline after height %d", index)
+    return block
+
+
+def _repair_tail(path: Path, size: int, tail: bytes, block: Block | None) -> None:
+    """Make the `size`-byte file at `path` what `_tail_block` read it as:
+    cut crash residue `tail` off, or give the line `tail` of `block` its
+    newline back."""
+    if not tail:
+        return
+    with open(path, "r+b") as fh:
+        if block is None:
+            fh.truncate(size - len(tail))
+        else:
+            fh.seek(size)
+            fh.write(b"\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
+class LedgerDigest:
+    """The length and sha256 of a ledger file's bytes, kept current by its
+    one writer as it appends: what a checkpoint records of the prefix it
+    covers."""
+
+    def __init__(self, sha=None, size: int = 0):
+        self._sha = hashlib.sha256() if sha is None else sha
+        self.size = size
+
+    def update(self, data: bytes) -> None:
+        self._sha.update(data)
+        self.size += len(data)
+
+    def hexdigest(self) -> str:
+        return self._sha.hexdigest()
+
+
+def checkpoint_path(path: Path) -> Path:
+    """Where writers keep the state checkpoint of the ledger at `path`."""
+    path = Path(path)
+    return path.with_name(path.name + ".state")
+
+
+def load_ledger(
+    path: Path, *, repair: bool = False, checkpoint: bool = True
+) -> tuple[Sequence[Block], WorldState, LedgerDigest]:
+    """The chain in the ledger file at `path`, the state after it, and the
+    digest of the file as the writer leaves it.
+
+    Every line it decodes must pass `checked_block` and link to the block
+    before it, or it raises LedgerCorrupt at that line's height. With
+    `checkpoint` it first reads the state checkpoint (`checkpoint_path`,
+    written by `write_checkpoint`) and trusts it only if every field is
+    well-typed, `offset` ends the line of the block at `height`, whose hash
+    is `tipHash`, the first `offset` bytes of the file still hash to
+    `prefixSha256`, and the state decoded from the snapshot, each record
+    and event keeping its own line as its canonical bytes, has `state_hash`
+    `stateHash`. It then decodes only the lines after `offset` and
+    replays them onto that state. Otherwise it logs a warning (a missing
+    checkpoint is not warned about) and decodes and replays every line.
+    Either way the chain is a `LineChain` that keeps the lines and decodes
+    a block only when it is indexed. A trailing line without its newline
+    is treated as `read_chain` with `recover` treats it, and `repair`
+    fixes the file the same way once everything else has loaded.
+
+    Threat model: as for the audit watermark, an edit of the ledger file
+    alone is refused at the height the audit reports HASH_MISMATCH at.
+    Getting one past the loader also means rewriting the checkpoint, which
+    needs write access to the data dir.
+    """
+    path = Path(path)
+    data = path.read_bytes()
+    size = len(data)
+    lines, tail = split_lines(data)
+    found = _read_checkpoint(path, data, lines) if checkpoint else None
+    height, tip, state, digest = found or (-1, ZERO_HASH, WorldState(), LedgerDigest())
+    digest.update(memoryview(data)[digest.size : size - len(tail)])
+    del data  # the lines hold the same bytes, and the chain keeps them
+    for index in range(height + 1, len(lines)):
+        tip = commit_block(state, tip, checked_block(index, lines[index], tip))
+    block = _tail_block(len(lines), tail, recover=True)
+    if block is not None:
+        commit_block(state, tip, checked_block(len(lines), tail, tip))
+        lines.append(tail)
+        digest.update(tail + b"\n")
+    if repair:
+        _repair_tail(path, size, tail, block)
+    return LineChain(lines), state, digest
+
+
+def _read_checkpoint(
+    path: Path, data: bytes, lines: list[bytes]
+) -> tuple[int, str, WorldState, LedgerDigest] | None:
+    """(height, tip hash, state, digest of the prefix) of the checkpoint of
+    the ledger `data` at `path` if `load_ledger` may trust it, else None."""
+    mark = checkpoint_path(path)
+    try:
+        header_line, *snapshot, rest = mark.read_bytes().split(b"\n")
+        header = typed(json.loads(header_line), dict, "checkpoint")
+        sha = _prefix_sha(header, data)
+        height, tip = header["height"], header["tipHash"]
+        if not is_hex_digest(tip, 64) or not is_hex_digest(header["stateHash"], 64):
+            raise ValueError("tipHash and stateHash must be 64 lowercase hex chars")
+        if parse_line(lines[height]).block_hash != tip:
+            raise ValueError(f"tipHash is not the hash of the block at height {height}")
+        records = typed(header["records"], int, "records")
+        if rest or not 0 <= records <= len(snapshot):
+            raise ValueError("the snapshot is cut short")
+        summary = typed(header["summary"], dict, "summary")
+        state = state_from_snapshot(summary, snapshot[:records], snapshot[records:], height)
+        if state_hash(state) != header["stateHash"]:
+            raise ValueError("the snapshot does not hash to stateHash")
+    except FileNotFoundError:
+        return None
+    except (
+        AttributeError, IndexError, KeyError, OSError, OverflowError, RecursionError, TypeError, ValueError, LedgerError
+    ) as exc:
+        _checkpoint_log.warning("ignoring state checkpoint %s: %s", mark, exc)
+        return None
+    return height, tip, state, LedgerDigest(sha, header["offset"])
+
+
+def write_checkpoint(path: Path, digest: LedgerDigest, tip: Block, state: WorldState) -> None:
+    """Replace the state checkpoint of the ledger at `path` with `state`,
+    the state after `tip`, the last block of the `digest.size` bytes that
+    `digest` covers. The first line holds `offset`, `prefixSha256`,
+    `height`, `tipHash`, `stateHash`, the state's `summary` and the count
+    of `records`; one line per registry entry and then one per event
+    follow, each the bytes `ledger.snapshot_lines` keeps, so writing one
+    encodes only what is new since the last."""
+    summary, entries, events = snapshot_lines(state)
+    header = {
+        "height": tip.height,
+        "offset": digest.size,
+        "prefixSha256": digest.hexdigest(),
+        "records": len(entries),
+        "stateHash": snapshot_hash(summary, entries, events),
+        "summary": summary,
+        "tipHash": tip.block_hash,
+    }
+    body = b"\n".join([to_canonical_bytes(header), *entries, *events]) + b"\n"
+    _replace_unsynced(checkpoint_path(path), body, _checkpoint_log, "state checkpoint")
 
 
 def watermark_path(path: Path) -> Path:
@@ -160,16 +329,7 @@ def _read_watermark(mark: Path, data: bytes) -> dict | None:
     `ChainAuditor.audit`'s to check."""
     try:
         obj = typed(json.loads(mark.read_bytes()), dict, "watermark")
-        offset = typed(obj["offset"], int, "offset")
-        digest = obj["prefixSha256"]
-        if not is_hex_digest(digest, 64):
-            raise ValueError("prefixSha256 must be 64 lowercase hex chars")
-        if not 0 < offset <= len(data) or data[offset - 1] != ord("\n"):
-            raise ValueError(f"offset {offset} does not end a line of the ledger")
-        if data.count(b"\n", 0, offset) != typed(obj["height"], int, "height") + 1:
-            raise ValueError(f"offset {offset} does not end the line of its height")
-        if sha256_hex(memoryview(data)[:offset]) != digest:
-            raise ValueError("the audited prefix of the ledger has changed")
+        _prefix_sha(obj, data)
     except FileNotFoundError:
         return None
     except (KeyError, OSError, RecursionError, ValueError) as exc:
@@ -178,23 +338,47 @@ def _read_watermark(mark: Path, data: bytes) -> dict | None:
     return obj
 
 
+def _prefix_sha(obj: dict, data: bytes):
+    """The sha256 object of the first `offset` bytes of `data`, if `obj`'s
+    `offset` ends the line of the block at its `height` and those bytes
+    still hash to its `prefixSha256`; otherwise KeyError or ValueError."""
+    offset = typed(obj["offset"], int, "offset")
+    digest = obj["prefixSha256"]
+    if not is_hex_digest(digest, 64):
+        raise ValueError("prefixSha256 must be 64 lowercase hex chars")
+    if not 0 < offset <= len(data) or data[offset - 1] != ord("\n"):
+        raise ValueError(f"offset {offset} does not end a line of the ledger")
+    if data.count(b"\n", 0, offset) != typed(obj["height"], int, "height") + 1:
+        raise ValueError(f"offset {offset} does not end the line of its height")
+    sha = hashlib.sha256(memoryview(data)[:offset])
+    if sha.hexdigest() != digest:
+        raise ValueError("the covered prefix of the ledger has changed")
+    return sha
+
+
 def _write_watermark(mark: Path, data: bytes, context: dict) -> None:
     """Replace `mark` with the watermark of an audit that found all of
-    `data` valid and ended with `context`. A unique temp file is renamed
-    over it, so concurrent audits each leave a whole watermark; it is not
-    fsynced, since a lost or torn one only costs a full audit."""
-    body = to_canonical_bytes({"offset": len(data), "prefixSha256": sha256_hex(data), **context})
+    `data` valid and ended with `context`."""
+    body = to_canonical_bytes({"offset": len(data), "prefixSha256": hashlib.sha256(data).hexdigest(), **context})
+    _replace_unsynced(mark, body, _watermark_log, "audit watermark")
+
+
+def _replace_unsynced(target: Path, body: bytes, log: logging.Logger, what: str) -> None:
+    """Replace the cache file `target` with `body`. A unique temp file
+    (mode 0600) is renamed over it, so concurrent writers each leave a whole
+    file. It is not fsynced, since a lost or torn one only costs the full
+    path; a write that fails is logged and skipped."""
     try:
-        fd, tmp = tempfile.mkstemp(prefix=f".{mark.name}.", suffix=".tmp", dir=mark.parent)
+        fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=target.parent)
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(body)
-            os.replace(tmp, mark)
+            os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
             raise
     except OSError as exc:
-        _watermark_log.warning("could not write audit watermark %s: %s", mark, exc)
+        log.warning("could not write %s %s: %s", what, target, exc)
 
 
 class DataDirLock:

@@ -5,13 +5,15 @@ policy and the peer set live in the genesis block, and keys of older files
 that copied them are ignored. `keys/ca.json` holds the CA key alone; the
 next serial is derived on open from `certs/` and the CRL, and the CRL is
 joined with the chain's revocations. Every data-dir file is replaced by an
-fsynced rename, so a failed write leaves the previous file whole.
+fsynced rename, so a failed write leaves the previous file whole, and the
+files under `keys/` are readable by their owner only.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import stat
 
 import pytest
 
@@ -239,6 +241,20 @@ def test_a_failed_write_leaves_every_data_dir_file_whole(onboarded_dir, monkeypa
     with pytest.raises(OSError, match="replace refused"):
         node_module._write_json(onboarded_dir / name, {"replaced": True})
     assert _files(onboarded_dir) == before
+
+
+def test_key_files_are_owner_only_whatever_the_umask(tmp_path, capsys):
+    data_dir = tmp_path / "d"
+    old = os.umask(0o022)
+    try:
+        assert main(["--data-dir", str(data_dir), "init", "--now", "1000"]) == 0
+        out = tmp_path / "redhat.cert.json"
+        assert main(["--data-dir", str(data_dir), "issue", "cna.redhat", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in (data_dir / KEYS_DIR).iterdir()}
+    assert {"ca.json", "gov.root.json", "cna.redhat.json"} <= set(modes)
+    assert set(modes.values()) == {0o600}, modes
 
 
 def test_a_write_replaces_the_file_whole(onboarded_dir):

@@ -5,7 +5,8 @@ every block's link, and gives each peer its own `WorldState.copy()`. These
 tests pin that the copies equal a fresh replay (embargo heap included),
 that a reopened network goes on to cut the same blocks as one that never
 reopened, that no peer shares a mutable container with another, and that
-the chain is applied once, not once per peer. They also pin the errors of
+the chain is applied once, not once per peer (and from a state checkpoint,
+only the blocks after it). They also pin the errors of
 a broken link and of a network that has no key seed.
 """
 
@@ -27,6 +28,7 @@ from cveledger.identity import derive_keypair
 from cveledger.ledger import replay, state_hash
 from cveledger.network import SimulatedNetwork
 from cveledger.node import LEDGER_FILE, Node
+from cveledger.storage import checkpoint_path
 
 SEED = b"open-once-tests"
 GOV = "gov.root"
@@ -188,9 +190,7 @@ def make_data_dir(path, blocks: int) -> None:
             node.submit(_record(seq, "cna.alpha", 5 if seq % 3 == 0 else None, node.net.clock))
 
 
-def test_open_applies_each_block_once(tmp_path, monkeypatch):
-    data_dir = tmp_path / "node"
-    make_data_dir(data_dir, 6)
+def _count_applies(monkeypatch) -> list[int]:
     calls = []
     apply_block = network.apply_block
 
@@ -199,9 +199,39 @@ def test_open_applies_each_block_once(tmp_path, monkeypatch):
         return apply_block(state, block)
 
     monkeypatch.setattr("cveledger.ledger.apply_block", counting)
+    return calls
+
+
+def test_open_applies_each_block_once(tmp_path, monkeypatch):
+    data_dir = tmp_path / "node"
+    make_data_dir(data_dir, 6)
+    checkpoint_path(data_dir / LEDGER_FILE).unlink()  # the full path, from genesis
+    calls = _count_applies(monkeypatch)
     with Node.open(data_dir) as node:
         assert len(node.net.chain) == 7 and len(node.net.peers) == 3
         assert calls == list(range(7))
+        assert node.memory_state_hash() == node.replay_hash()
+
+
+def test_open_from_a_checkpoint_applies_only_the_tail(tmp_path, monkeypatch):
+    data_dir = tmp_path / "node"
+    make_data_dir(data_dir, 6)
+    checkpoint = checkpoint_path(data_dir / LEDGER_FILE)
+    stale = checkpoint.read_bytes()  # left by the write of block 6
+    with Node.open(data_dir) as node:
+        for seq in (6, 7):
+            node.submit(_record(seq, "cna.alpha", None, node.net.clock))
+    checkpoint.write_bytes(stale)
+    calls = _count_applies(monkeypatch)
+    with Node.open(data_dir) as node:
+        assert len(node.net.chain) == 9 and len(node.net.peers) == 3
+        assert calls == [7, 8]
+        assert [node.net.chain[h].height for h in (0, 6, -1)] == [0, 6, 8]
+        assert node.memory_state_hash() == node.replay_hash()
+        node.tick()  # leaves the checkpoint at the new tip
+    del calls[:]
+    with Node.open(data_dir) as node:
+        assert calls == [] and len(node.net.chain) == 10
         assert node.memory_state_hash() == node.replay_hash()
 
 
