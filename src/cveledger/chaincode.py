@@ -132,6 +132,13 @@ class WorldState:
     decides, so withheld content stays unmatchable. It is built lazily by
     `query_index`, so replay and ingest never pay for it, and once built
     `store` keeps it current.
+
+    A state built by replay holds a plain `dict` registry and `list` event
+    log. A state loaded from a checkpoint (`ledger.state_from_snapshot`)
+    holds a `ledger.SnapshotRegistry` and `ledger.SnapshotLog` instead,
+    which keep each checkpoint line undecoded until its record or event is
+    first read; `copy`, `query_index` and `ledger.snapshot_lines` read
+    neither container whole.
     """
 
     def __init__(self) -> None:
@@ -194,10 +201,10 @@ class WorldState:
             if index is not None:
                 old = self.cve_registry.get(cid)
                 if old is not None:
-                    for key in _index_keys(old):
+                    for key in index_keys(old):
                         # a registry written around `store` may lack the bucket
                         index.get(key, set()).discard(cid)
-                for key in _index_keys(record):
+                for key in index_keys(record):
                     index.setdefault(key, set()).add(cid)
             self.cve_registry[cid] = record
             self.id_counters[cid.year] = max(self.id_counters.get(cid.year, 0), cid.sequence)
@@ -247,13 +254,14 @@ class WorldState:
 
     def copy(self) -> "WorldState":
         """An equal state sharing no mutable container with this one, only the frozen
-        records, certificates, events and failure entries; its query index stays lazy."""
+        records, certificates, events and failure entries, and a loaded state's
+        checkpoint lines with what has been decoded of them; its query index stays lazy."""
         other = WorldState()
-        other.cve_registry = dict(self.cve_registry)
+        other.cve_registry = self.cve_registry.copy()
         other.authorized_cnas = dict(self.authorized_cnas)
         other.governance_members = set(self.governance_members)
         other.id_counters = dict(self.id_counters)
-        other.event_log = list(self.event_log)
+        other.event_log = self.event_log.copy()
         other.certificates = dict(self.certificates)
         other.ca_public_key = self.ca_public_key
         other.failed_txs = list(self.failed_txs)
@@ -262,34 +270,28 @@ class WorldState:
         return other
 
     @classmethod
-    def from_dict(cls, obj: dict, height: int) -> "WorldState":
-        """The inverse of `to_dict`: the state after the block at `height`
-        whose snapshot is `obj`. Records are filed under their own ids. The
-        embargo heap gets one entry per stored draft: the other entries a
+    def from_summary(cls, summary: dict, height: int, registry, event_log, drafts) -> "WorldState":
+        """The inverse of `summary_dict`: the state after the block at
+        `height` whose summary is `summary`, over `registry` and `event_log`
+        as given, neither of them read. The embargo heap gets one entry per
+        record in `drafts`, the registry's drafts: the other entries a
         replayed heap may hold are stale ones, which the sweep drops. The
         query index stays lazy, and `_height`/`_event_seq` are as
-        `begin_block` leaves them. A value of the wrong shape raises
+        `begin_block` leaves them. A summary of the wrong shape raises
         KeyError, TypeError, ValueError or a LedgerError."""
         state = cls()
-        for entry in typed(obj["cveRegistry"], dict, "cveRegistry").values():
-            record = record_from_dict(entry)
-            state.cve_registry[record.cve_id] = record
-        state.authorized_cnas = dict(typed(obj["authorizedCNAs"], dict, "authorizedCNAs"))
-        state.governance_members = set(typed(obj["governanceMembers"], list, "governanceMembers"))
-        counters = typed(obj["idCounters"], dict, "idCounters")
+        state.cve_registry, state.event_log = registry, event_log
+        state.authorized_cnas = dict(typed(summary["authorizedCNAs"], dict, "authorizedCNAs"))
+        state.governance_members = set(typed(summary["governanceMembers"], list, "governanceMembers"))
+        counters = typed(summary["idCounters"], dict, "idCounters")
         state.id_counters = {int(year): typed(count, int, "idCounters") for year, count in counters.items()}
-        state.event_log = [Event.from_dict(event) for event in typed(obj["eventLog"], list, "eventLog")]
-        certificates = typed(obj["certificates"], dict, "certificates")
+        certificates = typed(summary["certificates"], dict, "certificates")
         state.certificates = {subject: Certificate.from_dict(cert) for subject, cert in certificates.items()}
-        state.ca_public_key = typed(obj["caPublicKey"], str, "caPublicKey")
-        state.failed_txs = list(typed(obj["failedTxs"], list, "failedTxs"))
-        state._embargo_heap = [
-            (record.embargo_until, cid.year, cid.sequence)
-            for cid, record in state.cve_registry.items()
-            if record.status is CveStatus.DRAFT
-        ]
+        state.ca_public_key = typed(summary["caPublicKey"], str, "caPublicKey")
+        state.failed_txs = list(typed(summary["failedTxs"], list, "failedTxs"))
+        state._embargo_heap = [(record.embargo_until, record.cve_id.year, record.cve_id.sequence) for record in drafts]
         heapq.heapify(state._embargo_heap)
-        state.begin_block(height, typed(obj["clockNow"], int, "clockNow"))
+        state.begin_block(height, typed(summary["clockNow"], int, "clockNow"))
         return state
 
     def query_index(self) -> dict[tuple[str, object], set[CveId]]:
@@ -297,9 +299,13 @@ class WorldState:
         use. Built into a local dict and assigned once, so concurrent first
         readers each build a complete index and either may win."""
         if self._index is None:
+            registry = self.cve_registry
+            # a checkpoint-loaded registry reads the keys off undecoded lines
+            entries = getattr(registry, "index_entries", None)
+            pairs = entries() if entries else ((cid, index_keys(record)) for cid, record in registry.items())
             index: dict[tuple[str, object], set[CveId]] = {}
-            for cid, record in self.cve_registry.items():
-                for key in _index_keys(record):
+            for cid, keys in pairs:
+                for key in keys:
                     index.setdefault(key, set()).add(cid)
             self._index = index
         return self._index
@@ -330,7 +336,8 @@ class WorldState:
         }
 
 
-def _index_keys(record: CveRecord) -> tuple[tuple[str, object], ...]:
+def index_keys(record: CveRecord) -> tuple[tuple[str, object], ...]:
+    """The `(field, value)` keys of the query index that `record` is filed under."""
     return (
         ("status", record.status),
         ("submitter", record.submitter),

@@ -1,4 +1,6 @@
-"""Hash-chained blocks and their ledger lines: build, encode, audit, replay, query.
+"""Hash-chained blocks and their ledger lines: build, encode, audit, replay, query;
+and the state snapshot a checkpoint holds, whose lines a loaded state decodes
+as they are read.
 
 Blocks chain by SHA-256; transaction ids hash the canonical payload bytes;
 caller and endorsement signatures cover those same bytes. A block's line
@@ -22,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable
@@ -36,11 +38,12 @@ from .chaincode import (
     WorldState,
     content_commitment,
     execute_transaction,
+    index_keys,
     is_content_withheld,
 )
 from .errors import ClockRegression, LedgerCorrupt, LedgerError, PolicyUnsatisfied
 from .identity import Certificate, KeyPair, sign_payload, verify_payload
-from .records import CveRecord, CveStatus, record_to_dict
+from .records import CveId, CveRecord, CveStatus, parse_cve_id, record_from_dict, record_to_dict
 from . import corrections  # noqa: F401  (adds the correction ops to chaincode.OPS)
 
 HASH_MISMATCH = "HASH_MISMATCH"
@@ -234,10 +237,30 @@ class Block:
 
 
 def block_line(block: Block) -> bytes:
-    """The block's line in `ledger.jsonl`: its canonical JSON and a newline.
-    A block holding what canonical JSON cannot write (a NaN, an infinity, a
-    lone surrogate, nesting too deep) raises ValueError."""
-    return to_canonical_bytes(block.to_dict()) + b"\n"
+    """The block's line in `ledger.jsonl`: its canonical JSON and a newline,
+    `to_canonical_bytes(block.to_dict()) + b"\\n"`. Each transaction's
+    payload is spliced from its kept `payload_bytes()`, which its tx id
+    hashes too, so a payload is encoded once whatever reads it. A block
+    holding what canonical JSON cannot write (a NaN, an infinity, a lone
+    surrogate, nesting too deep) raises ValueError."""
+    txs = b",".join(
+        _open_object({"callerSignature": tx.caller_signature, "endorsements": [[p, s] for p, s in tx.endorsements]})
+        + b',"payload":%s,"txId":%s}' % (tx.payload_bytes(), to_canonical_bytes(tx.tx_id))
+        for tx in block.txs
+    )
+    head = {
+        "blockHash": block.block_hash,
+        "blockTime": block.block_time,
+        "height": block.height,
+        "prevHash": block.prev_hash,
+    }
+    return _open_object(head) + b',"txs":[%s]}\n' % txs
+
+
+def _open_object(obj: dict) -> bytes:
+    """The canonical bytes of the non-empty `obj` without its closing brace,
+    for keys that sort after all of its own to be spliced after it."""
+    return to_canonical_bytes(obj)[:-1]
 
 
 def _refuse_non_finite(literal: str):
@@ -628,6 +651,8 @@ def apply_block(state: WorldState, block: Block) -> list:
     for tx_index, tx in enumerate(block.txs):
         try:
             events.extend(execute_transaction(state, tx.payload, clock))
+        except LedgerCorrupt:
+            raise  # a checkpoint line that does not decode: no verdict on the transaction
         except LedgerError as exc:
             state.record_failure(block.height, tx_index, tx.tx_id, exc.code)
     return events
@@ -677,31 +702,260 @@ def snapshot_lines(state: WorldState) -> tuple[dict, list[bytes], list[bytes]]:
     """`state.to_dict()` in the pieces a state checkpoint holds: the summary
     dict, the registry entries `"<id>":{...}` in key order, and the events
     in log order. Entries and events are the canonical bytes kept on each
-    record and event, so only what is new since the last call is encoded.
-    Registry keys sort as strings (CVE-2025-10000 before CVE-2025-9999), and
-    so do the entries as bytes, since `"` sorts before every character of an
-    id. An entry is keyed by its record's id, which is the key
-    `WorldState.store` files it under."""
-    entries = sorted(map(_registry_entry_bytes, state.cve_registry.values()))
-    return state.summary_dict(), entries, list(map(_event_bytes, state.event_log))
+    record and event, so only what is new since the last call is encoded;
+    those a checkpoint-loaded state still holds as lines are spliced as they
+    are, undecoded. Registry keys sort as strings (CVE-2025-10000 before
+    CVE-2025-9999), and so do the entries as bytes, since `"` sorts before
+    every character of an id. An entry is keyed by its record's id, which
+    is the key `WorldState.store` files it under."""
+    registry, log = state.cve_registry, state.event_log
+    if isinstance(registry, SnapshotRegistry):
+        entries = registry.entry_lines()
+    else:
+        entries = list(map(_registry_entry_bytes, registry.values()))
+    events = log.event_lines() if isinstance(log, SnapshotLog) else list(map(_event_bytes, log))
+    return state.summary_dict(), sorted(entries), events
 
 
-def state_from_snapshot(summary: dict, entries: list[bytes], events: list[bytes], height: int) -> WorldState:
-    """The inverse of `snapshot_lines`: `WorldState.from_dict` of the
-    snapshot after the block at `height`, each record and event keeping the
-    line it was decoded from as its canonical bytes instead of encoding
-    itself again. Only `state_hash` of the result, which splices those
-    lines, can tell whether they are the lines `snapshot_lines` wrote.
-    Lines that hold no snapshot raise KeyError, TypeError, ValueError or a
-    LedgerError."""
-    registry = json.loads(b"{" + b",".join(entries) + b"}")
-    log = json.loads(b"[" + b",".join(events) + b"]")
-    state = WorldState.from_dict({**summary, "cveRegistry": registry, "eventLog": log}, height)
-    for record, line in zip(state.cve_registry.values(), entries):
-        object.__setattr__(record, "_registry_entry", line)
-    for event, line in zip(state.event_log, events):
-        object.__setattr__(event, "_canonical", line)
-    return state
+# What decoding a checkpoint line raises on bytes that hold no record or event.
+_DECODE_ERRORS = (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError, LedgerError)
+
+# Every draft's entry holds this, and no other entry the writer spells does:
+# canonical JSON escapes each quote inside a string, so only a key spells it,
+# and no object nested in a record has a `status` key.
+_DRAFT_MARK = b'"status":"DRAFT"'
+
+
+def _corrupt(source: str, what: str, why) -> LedgerCorrupt:
+    return LedgerCorrupt(
+        f"{what} in the state checkpoint {source} does not decode ({why}); "
+        f"delete {source} to load the ledger from genesis"
+    )
+
+
+def _decode_json(data: bytes):
+    # as strict as a block line's decode: a NaN or an infinity is refused
+    return _LINE_DECODER.decode(data.decode("utf-8"))
+
+
+class _CheckpointLines:
+    """The registry entries (by id text) and the event lines of a trusted
+    state checkpoint, and what has been decoded of them: what every copy of
+    a state loaded from it shares. A line decodes to an equal record or
+    event whenever it is decoded, so the first decode serves every copy;
+    threads racing on one line each decode an equal value, and either write
+    wins."""
+
+    def __init__(self, source: str, entries: dict[str, bytes], events: list[bytes]):
+        self.source = source
+        self.entries = entries
+        self.events = events
+        self.records: dict[str, CveRecord] = {}
+        self.decoded_events: list[Event | None] = [None] * len(events)
+
+    def cve_id(self, text: str) -> CveId:
+        """The id an entry is keyed by, spelled canonically."""
+        try:
+            cid = parse_cve_id(text)
+        except LedgerError as exc:
+            raise _corrupt(self.source, f"the entry key {text!r}", exc) from None
+        if str(cid) != text:
+            raise _corrupt(self.source, f"the entry key {text!r}", "not a canonical id")
+        return cid
+
+    def record(self, text: str) -> CveRecord:
+        """The record of the entry keyed `text`, which keeps its line as its
+        registry entry bytes; KeyError if the checkpoint holds no such entry."""
+        record = self.records.get(text)
+        if record is None:
+            line = self.entries[text]
+            try:
+                [(key, obj)] = _decode_json(b"{%s}" % line).items()
+                record = record_from_dict(typed(obj, dict, "record"))
+            except _DECODE_ERRORS as exc:
+                raise _corrupt(self.source, f"the entry of {text}", repr(exc)) from None
+            if key != text or str(record.cve_id) != text:
+                raise _corrupt(self.source, f"the entry of {text}", f"it holds {key}: {record.cve_id}")
+            object.__setattr__(record, "_registry_entry", line)
+            self.records[text] = record
+        return record
+
+    def event(self, index: int) -> Event:
+        """The event on the line at `index`, which keeps the line as its bytes."""
+        event = self.decoded_events[index]
+        if event is None:
+            line = self.events[index]
+            try:
+                event = Event.from_dict(typed(_decode_json(line), dict, "event"))
+            except _DECODE_ERRORS as exc:
+                raise _corrupt(self.source, f"event {index}", repr(exc)) from None
+            object.__setattr__(event, "_canonical", line)
+            self.decoded_events[index] = event
+        return event
+
+
+class SnapshotRegistry(Mapping):
+    """The registry of a state loaded from a checkpoint: a mapping of
+    `CveId` to record, like the `dict` a replay builds, in which each record
+    the checkpoint holds stays its entry line until it is first read.
+    Records stored since the load are kept apart and shadow their id's
+    line. Records are never removed from a registry, so there is no `del`."""
+
+    def __init__(self, lines: _CheckpointLines, own: dict | None = None, added: int = 0):
+        self._lines = lines
+        self._own: dict[CveId, CveRecord] = {} if own is None else own
+        self._added = added  # ids in `_own` that the checkpoint holds no entry for
+
+    def __getitem__(self, cid) -> CveRecord:
+        record = self._own.get(cid)
+        if record is not None:
+            return record
+        if not isinstance(cid, CveId):
+            raise KeyError(cid)
+        return self._lines.record(str(cid))
+
+    def __contains__(self, cid) -> bool:
+        return cid in self._own or (isinstance(cid, CveId) and str(cid) in self._lines.entries)
+
+    def __setitem__(self, cid: CveId, record: CveRecord) -> None:
+        if cid not in self:
+            self._added += 1
+        self._own[cid] = record
+
+    def __len__(self) -> int:
+        return len(self._lines.entries) + self._added
+
+    def __iter__(self):
+        entries = self._lines.entries
+        yield from map(self._lines.cve_id, entries)
+        yield from (cid for cid in self._own if str(cid) not in entries)
+
+    def copy(self) -> "SnapshotRegistry":
+        """An equal registry sharing the checkpoint's lines and decodes."""
+        return SnapshotRegistry(self._lines, dict(self._own), self._added)
+
+    def _held(self):
+        """(id text, line) of each entry no record stored since shadows."""
+        shadowed = {str(cid) for cid in self._own}
+        return ((text, line) for text, line in self._lines.entries.items() if text not in shadowed)
+
+    def entry_lines(self) -> list[bytes]:
+        """The registry entries of `snapshot_lines`, unsorted."""
+        return [line for _, line in self._held()] + list(map(_registry_entry_bytes, self._own.values()))
+
+    def index_entries(self):
+        """(id, `index_keys` of its record) for every record, those of a
+        record still held as its line read off the line when it spells them
+        plainly (`_line_index_keys`)."""
+        lines = self._lines
+        for text, line in self._held():
+            cid = lines.cve_id(text)
+            record = lines.records.get(text)
+            keys = _line_index_keys(cid, line) if record is None else None
+            yield cid, keys or index_keys(lines.record(text))
+        yield from ((cid, index_keys(record)) for cid, record in self._own.items())
+
+
+_STATUSES = {status.value: status for status in CveStatus}
+
+
+def _line_string(line: bytes, key: bytes) -> str | None:
+    """The string value after the first `key` (a `"name":"`) in an entry
+    line, or None where it holds an escape, which only a decode reads right.
+    No object nested in a record has a `status`, `submitterCNA` or `product`
+    key, so the first is the record's own."""
+    start = line.find(key)
+    if start < 0:
+        return None
+    start += len(key)
+    end = line.find(b'"', start)
+    value = line[start:end]
+    if end < 0 or b"\\" in value:
+        return None
+    try:
+        return value.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+
+
+def _line_index_keys(cid: CveId, line: bytes) -> tuple | None:
+    """`index_keys` of the record on the entry `line` of `cid`, read off
+    the line without decoding it; None where the line does not spell them
+    plainly."""
+    status = _STATUSES.get(_line_string(line, b'"status":"'))
+    submitter = _line_string(line, b'"submitterCNA":"')
+    product = _line_string(line, b'"product":"')
+    if status is None or submitter is None or product is None:
+        return None
+    return (("status", status), ("submitter", submitter), ("product", product), ("year", cid.year))
+
+
+class SnapshotLog(Sequence):
+    """The event log of a state loaded from a checkpoint: a sequence of
+    events, like the `list` a replay builds, in which each event the
+    checkpoint holds stays its line until it is first indexed. Events
+    appended since the load are kept apart."""
+
+    def __init__(self, lines: _CheckpointLines, own: list[Event] | None = None):
+        self._lines = lines
+        self._own: list[Event] = [] if own is None else own
+
+    def __len__(self) -> int:
+        return len(self._lines.events) + len(self._own)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("event log index out of range")
+        held = len(self._lines.events)
+        return self._lines.event(index) if index < held else self._own[index - held]
+
+    def append(self, event: Event) -> None:
+        self._own.append(event)
+
+    def copy(self) -> "SnapshotLog":
+        """An equal log sharing the checkpoint's lines and decodes."""
+        return SnapshotLog(self._lines, list(self._own))
+
+    def event_lines(self) -> list[bytes]:
+        """The events of `snapshot_lines`."""
+        return [*self._lines.events, *map(_event_bytes, self._own)]
+
+
+def state_from_snapshot(
+    summary: dict, entries: list[bytes], events: list[bytes], height: int, source: str
+) -> WorldState:
+    """The inverse of `snapshot_lines`: the state after the block at
+    `height` whose snapshot is these lines of the trusted state checkpoint
+    `source`. Only the summary and the drafts (for the embargo heap) are
+    decoded now. The registry and the event log are a `SnapshotRegistry`
+    and a `SnapshotLog` over the lines, which decode a record or an event
+    when it is first read, once for every copy of the state, and keep its
+    line as its canonical bytes; `state_hash` splices the lines undecoded.
+    Lines that hold no snapshot raise LedgerCorrupt naming `source`, here
+    or when they are read: a summary of the wrong shape, entries out of id
+    order, an entry whose record does not decode or has another id, or an
+    event that does not decode."""
+    try:
+        by_id = {line[1 : line.index(b'"', 1)].decode("utf-8"): line for line in entries}
+    except ValueError as exc:  # a line without a quoted key
+        raise _corrupt(source, "the registry", repr(exc)) from None
+    if len(by_id) != len(entries) or entries != sorted(entries):
+        raise _corrupt(source, "the registry", "its entries are not one per id in id order")
+    lines = _CheckpointLines(source, by_id, events)
+    drafts = []
+    for text, line in by_id.items():
+        if _DRAFT_MARK in line:
+            record = lines.record(text)
+            if record.status is CveStatus.DRAFT:
+                drafts.append(record)
+    try:
+        return WorldState.from_summary(summary, height, SnapshotRegistry(lines), SnapshotLog(lines), drafts)
+    except _DECODE_ERRORS as exc:
+        raise _corrupt(source, "the summary", repr(exc)) from None
 
 
 def state_hash(state: WorldState) -> str:

@@ -356,19 +356,21 @@ class Node:
         return self._commit(OP_PARTIAL_DUP, {"keepID": keep, "reviseID": revise}, caller)
 
     def tick(self, now: int | None = None) -> dict:
-        """Advance the chain clock and run the embargo sweep."""
+        """Advance the chain clock and run the embargo sweep. The ids it
+        released are read off the events the sweep's block appended to the
+        log, so no event before them is read."""
         if now is not None:
             self.net.advance_clock(int(now))
         else:
             self.net.advance_clock(self.net.clock + self.config.orderer.tick_seconds)
+        log = self.state.event_log
+        before = len(log)
         out = self._commit(OP_CHECK_EMBARGO, {})
         out["clockNow"] = self.net.clock
-        released = [
-            e.payload["cveID"]
-            for e in self.net.peers[0].state.event_log
-            if e.kind == "EmbargoReleased" and e.block_height == self.net.chain[-1].height
+        tip = self.net.chain[-1].height
+        out["released"] = [
+            e.payload["cveID"] for e in log[before:] if e.kind == "EmbargoReleased" and e.block_height == tip
         ]
-        out["released"] = released
         return out
 
     # -- reads --------------------------------------------------------------------

@@ -11,9 +11,10 @@ reader treat the file differently on purpose:
   runs `checked_block` on every line it decodes and refuses a broken link.
   Lines that a valid state checkpoint covers are neither decoded nor
   replayed, while its digest proves they are byte for byte the ones the
-  writer left. At node start a trailing line without its newline is crash
-  residue from a killed append: it is dropped with a warning and the file
-  repaired.
+  writer left, and the checkpoint's own lines are decoded only as their
+  records and events are read. At node start a trailing line without its
+  newline is crash residue from a killed append: it is dropped with a
+  warning and the file repaired.
 * the library reader (`read_chain`) only decodes, with the same crash
   residue rule.
 * the audit (`audit_file`) is strict. Every line must pass every check,
@@ -54,7 +55,6 @@ from .ledger import (
     snapshot_lines,
     split_lines,
     state_from_snapshot,
-    state_hash,
 )
 
 logger = logging.getLogger(__name__)
@@ -190,20 +190,24 @@ def load_ledger(
     written by `write_checkpoint`) and trusts it only if every field is
     well-typed, `offset` ends the line of the block at `height`, whose hash
     is `tipHash`, the first `offset` bytes of the file still hash to
-    `prefixSha256`, and the state decoded from the snapshot, each record
-    and event keeping its own line as its canonical bytes, has `state_hash`
-    `stateHash`. It then decodes only the lines after `offset` and
-    replays them onto that state. Otherwise it logs a warning (a missing
-    checkpoint is not warned about) and decodes and replays every line.
-    Either way the chain is a `LineChain` that keeps the lines and decodes
-    a block only when it is indexed. A trailing line without its newline
-    is treated as `read_chain` with `recover` treats it, and `repair`
-    fixes the file the same way once everything else has loaded.
+    `prefixSha256`, and its snapshot lines, spliced undecoded, hash to
+    `stateHash`. Otherwise it logs a warning (a missing checkpoint is not
+    warned about) and decodes and replays every line. A trusted checkpoint
+    is loaded by `ledger.state_from_snapshot`, which decodes its summary
+    and its drafts and leaves every other record and event a line until it
+    is read; the lines after `offset` are then decoded and replayed onto
+    that state. Either way the chain is a `LineChain` that keeps the lines
+    and decodes a block only when it is indexed. A trailing line without
+    its newline is treated as `read_chain` with `recover` treats it, and
+    `repair` fixes the file the same way once everything else has loaded.
 
     Threat model: as for the audit watermark, an edit of the ledger file
     alone is refused at the height the audit reports HASH_MISMATCH at.
     Getting one past the loader also means rewriting the checkpoint, which
-    needs write access to the data dir.
+    needs write access to the data dir. A trusted checkpoint line that does
+    not decode is refused with LedgerCorrupt naming the checkpoint, when it
+    is read (the summary and the drafts on load); deleting the checkpoint
+    loads the ledger from genesis.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -229,7 +233,9 @@ def _read_checkpoint(
     path: Path, data: bytes, lines: list[bytes]
 ) -> tuple[int, str, WorldState, LedgerDigest] | None:
     """(height, tip hash, state, digest of the prefix) of the checkpoint of
-    the ledger `data` at `path` if `load_ledger` may trust it, else None."""
+    the ledger `data` at `path` if `load_ledger` may trust it, else None;
+    LedgerCorrupt if it is trusted but its summary or a draft's line does
+    not decode."""
     mark = checkpoint_path(path)
     try:
         header_line, *snapshot, rest = mark.read_bytes().split(b"\n")
@@ -244,8 +250,8 @@ def _read_checkpoint(
         if rest or not 0 <= records <= len(snapshot):
             raise ValueError("the snapshot is cut short")
         summary = typed(header["summary"], dict, "summary")
-        state = state_from_snapshot(summary, snapshot[:records], snapshot[records:], height)
-        if state_hash(state) != header["stateHash"]:
+        entries, events = snapshot[:records], snapshot[records:]
+        if snapshot_hash(summary, entries, events) != header["stateHash"]:
             raise ValueError("the snapshot does not hash to stateHash")
     except FileNotFoundError:
         return None
@@ -254,6 +260,8 @@ def _read_checkpoint(
     ) as exc:
         _checkpoint_log.warning("ignoring state checkpoint %s: %s", mark, exc)
         return None
+    # trusted from here on: lines that do not decode are refused, not ignored
+    state = state_from_snapshot(summary, entries, events, height, str(mark))
     return height, tip, state, LedgerDigest(sha, header["offset"])
 
 
