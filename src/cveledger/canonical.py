@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from typing import Any
+from typing import Any, Callable
 
 ZERO_HASH = "0" * 64
 
@@ -43,6 +43,21 @@ def sha256_hex(data: bytes) -> str:
 def hash_obj(obj: Any) -> str:
     """SHA-256 of the canonical serialization, lowercase hex."""
     return sha256_hex(to_canonical_bytes(obj))
+
+
+def kept(obj, key: str, compute: Callable):
+    """`compute(obj)`, computed on the first call and kept as the attribute
+    `key` (a name no field has) of the frozen `obj`, set the way a frozen
+    dataclass's own `__init__` sets its fields. Records, events,
+    transactions and key pairs are frozen, every change builds a new object,
+    and nothing mutates a transaction's payload dict, so a kept value never
+    goes stale. Handler threads may race on a first call: each computes the
+    same value, and either write wins."""
+    value = getattr(obj, key, None)
+    if value is None:
+        value = compute(obj)
+        object.__setattr__(obj, key, value)
+    return value
 
 
 def typed(value: Any, kind, name: str) -> Any:

@@ -131,14 +131,15 @@ class WorldState:
     records a query looks at; the query's per-record predicate still
     decides, so withheld content stays unmatchable. It is built lazily by
     `query_index`, so replay and ingest never pay for it, and once built
-    `store` keeps it current.
+    `store` keeps it current. `ledger.query_public` scans the lines of a
+    checkpoint-loaded state instead, where building it decodes every record.
 
     A state built by replay holds a plain `dict` registry and `list` event
     log. A state loaded from a checkpoint (`ledger.state_from_snapshot`)
     holds a `ledger.SnapshotRegistry` and `ledger.SnapshotLog` instead,
     which keep each checkpoint line undecoded until its record or event is
-    first read; `copy`, `query_index` and `ledger.snapshot_lines` read
-    neither container whole.
+    first read; `copy` and `ledger.snapshot_lines` read neither container
+    whole.
     """
 
     def __init__(self) -> None:
@@ -299,13 +300,9 @@ class WorldState:
         use. Built into a local dict and assigned once, so concurrent first
         readers each build a complete index and either may win."""
         if self._index is None:
-            registry = self.cve_registry
-            # a checkpoint-loaded registry reads the keys off undecoded lines
-            entries = getattr(registry, "index_entries", None)
-            pairs = entries() if entries else ((cid, index_keys(record)) for cid, record in registry.items())
             index: dict[tuple[str, object], set[CveId]] = {}
-            for cid, keys in pairs:
-                for key in keys:
+            for cid, record in self.cve_registry.items():
+                for key in index_keys(record):
                     index.setdefault(key, set()).add(cid)
             self._index = index
         return self._index

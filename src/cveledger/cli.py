@@ -17,6 +17,7 @@ checkpoint: `replay` is the oracle the checkpoint is checked against.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -50,7 +51,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once per process: a parse fills its own namespace."""
     parser = _Parser(prog="cveledger", description="Permissioned-ledger CVE registry")
     parser.add_argument(
         "--data-dir", default=DEFAULT_DATA_DIR, help="node data directory (ledger, keys, certs)"

@@ -25,7 +25,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .canonical import is_hex_digest, sha256_hex, typed
+from .canonical import is_hex_digest, kept, sha256_hex, typed
 from .canonical import to_canonical_json  # noqa: F401  (perfbench patches it here)
 from .errors import DuplicateSubject, InvalidParticipantId, MalformedKey
 
@@ -71,7 +71,9 @@ class KeyPair:
         return cls.generate(bytes.fromhex(seed_hex))
 
     def private_key(self) -> Ed25519PrivateKey:
-        return Ed25519PrivateKey.from_private_bytes(bytes.fromhex(self.seed_hex))
+        """The signing key, built once per key pair (a build costs about a
+        signature) and kept as a non-field attribute, which equality ignores."""
+        return kept(self, "_private_key", lambda k: Ed25519PrivateKey.from_private_bytes(bytes.fromhex(k.seed_hex)))
 
 
 def derive_keypair(seed: bytes, label: str) -> KeyPair:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable
 
-from .canonical import ZERO_HASH, is_hex_digest, sha256_hex, to_canonical_bytes, typed
+from .canonical import ZERO_HASH, is_hex_digest, kept, sha256_hex, to_canonical_bytes, to_canonical_json, typed
 from .chaincode import (
     ChainClock,
     Event,
@@ -38,7 +38,6 @@ from .chaincode import (
     WorldState,
     content_commitment,
     execute_transaction,
-    index_keys,
     is_content_withheld,
 )
 from .errors import ClockRegression, LedgerCorrupt, LedgerError, PolicyUnsatisfied
@@ -50,21 +49,6 @@ HASH_MISMATCH = "HASH_MISMATCH"
 SIGNATURE_INVALID = "SIGNATURE_INVALID"
 ENDORSEMENT_INSUFFICIENT = "ENDORSEMENT_INSUFFICIENT"
 CLOCK_REGRESSION = "CLOCK_REGRESSION"
-
-
-def _kept(obj, key: str, compute: Callable):
-    """`compute(obj)`, computed on the first call and kept as the attribute
-    `key` (a name no field has) of the frozen `obj`, set the way a frozen
-    dataclass's own `__init__` sets its fields. Records, events and
-    transactions are frozen, every change builds a new object, and nothing
-    mutates a transaction's payload dict, so a kept value never goes stale.
-    Handler threads may race on a first call: each computes the same value,
-    and either write wins."""
-    value = getattr(obj, key, None)
-    if value is None:
-        value = compute(obj)
-        object.__setattr__(obj, key, value)
-    return value
 
 
 @dataclass(frozen=True)
@@ -124,7 +108,7 @@ class Transaction:
         payload_bytes = to_canonical_bytes(payload)
         sig = sign_payload(key, payload_bytes).hex() if key is not None else ""
         tx = cls(payload=payload, tx_id=sha256_hex(payload_bytes), caller_signature=sig)
-        _kept(tx, "_payload_bytes", lambda _: payload_bytes)
+        kept(tx, "_payload_bytes", lambda _: payload_bytes)
         return tx
 
     def payload_bytes(self) -> bytes:
@@ -132,7 +116,7 @@ class Transaction:
         every signature covers, encoded once per transaction. They are kept
         as an attribute, not a field, so `dataclasses.replace` builds a
         transaction that encodes its own payload."""
-        return _kept(self, "_payload_bytes", lambda tx: to_canonical_bytes(tx.payload))
+        return kept(self, "_payload_bytes", lambda tx: to_canonical_bytes(tx.payload))
 
     def with_endorsements(self, endorsements) -> "Transaction":
         tx = Transaction(
@@ -141,7 +125,7 @@ class Transaction:
             caller_signature=self.caller_signature,
             endorsements=tuple((str(p), str(s)) for p, s in endorsements),
         )
-        _kept(tx, "_payload_bytes", lambda _: self.payload_bytes())
+        kept(tx, "_payload_bytes", lambda _: self.payload_bytes())
         return tx
 
     def to_dict(self) -> dict:
@@ -682,20 +666,20 @@ def replay(chain: list[Block]) -> WorldState:
 
 def record_commitment(record: CveRecord) -> str:
     """`content_commitment(record)`, computed once per record object."""
-    return _kept(record, "_commitment", content_commitment)
+    return kept(record, "_commitment", content_commitment)
 
 
 def _registry_entry_bytes(record: CveRecord) -> bytes:
     # `"<id>":<internal record>`, the record's entry in the snapshot's
     # registry; an id is ASCII letters, digits and dashes, which JSON quotes as is
-    return _kept(
+    return kept(
         record, "_registry_entry",
         lambda r: b'"%s":%s' % (str(r.cve_id).encode(), to_canonical_bytes(record_to_dict(r, internal=True))),
     )
 
 
 def _event_bytes(event: Event) -> bytes:
-    return _kept(event, "_canonical", lambda e: to_canonical_bytes(e.to_dict()))
+    return kept(event, "_canonical", lambda e: to_canonical_bytes(e.to_dict()))
 
 
 def snapshot_lines(state: WorldState) -> tuple[dict, list[bytes], list[bytes]]:
@@ -733,6 +717,10 @@ def _corrupt(source: str, what: str, why) -> LedgerCorrupt:
     )
 
 
+# a writer spells every checkpoint line canonically, as it does a block line
+_NOT_EXACT = "it is not the exact encoding of what it decodes to"
+
+
 def _decode_json(data: bytes):
     # as strict as a block line's decode: a NaN or an infinity is refused
     return _LINE_DECODER.decode(data.decode("utf-8"))
@@ -764,31 +752,36 @@ class _CheckpointLines:
         return cid
 
     def record(self, text: str) -> CveRecord:
-        """The record of the entry keyed `text`, which keeps its line as its
-        registry entry bytes; KeyError if the checkpoint holds no such entry."""
+        """The record of the entry keyed `text`, whose line must be exactly
+        its registry entry bytes, id included, and is kept as them; KeyError
+        if the checkpoint holds no such entry."""
         record = self.records.get(text)
         if record is None:
             line = self.entries[text]
             try:
-                [(key, obj)] = _decode_json(b"{%s}" % line).items()
+                [obj] = _decode_json(b"{%s}" % line).values()
                 record = record_from_dict(typed(obj, dict, "record"))
+                exact = _registry_entry_bytes(record) == line
             except _DECODE_ERRORS as exc:
                 raise _corrupt(self.source, f"the entry of {text}", repr(exc)) from None
-            if key != text or str(record.cve_id) != text:
-                raise _corrupt(self.source, f"the entry of {text}", f"it holds {key}: {record.cve_id}")
+            if not exact:
+                raise _corrupt(self.source, f"the entry of {text}", _NOT_EXACT)
             object.__setattr__(record, "_registry_entry", line)
             self.records[text] = record
         return record
 
     def event(self, index: int) -> Event:
-        """The event on the line at `index`, which keeps the line as its bytes."""
+        """The event on the line at `index`, which must be its exact bytes and is kept as them."""
         event = self.decoded_events[index]
         if event is None:
             line = self.events[index]
             try:
                 event = Event.from_dict(typed(_decode_json(line), dict, "event"))
+                exact = _event_bytes(event) == line
             except _DECODE_ERRORS as exc:
                 raise _corrupt(self.source, f"event {index}", repr(exc)) from None
+            if not exact:
+                raise _corrupt(self.source, f"event {index}", _NOT_EXACT)
             object.__setattr__(event, "_canonical", line)
             self.decoded_events[index] = event
         return event
@@ -799,7 +792,9 @@ class SnapshotRegistry(Mapping):
     `CveId` to record, like the `dict` a replay builds, in which each record
     the checkpoint holds stays its entry line until it is first read.
     Records stored since the load are kept apart and shadow their id's
-    line. Records are never removed from a registry, so there is no `del`."""
+    line. Records are never removed from a registry, so there is no `del`.
+    A filtered query decodes only the lines `scan` finds; building the
+    query index decodes every record."""
 
     def __init__(self, lines: _CheckpointLines, own: dict | None = None, added: int = 0):
         self._lines = lines
@@ -843,51 +838,37 @@ class SnapshotRegistry(Mapping):
         """The registry entries of `snapshot_lines`, unsorted."""
         return [line for _, line in self._held()] + list(map(_registry_entry_bytes, self._own.values()))
 
-    def index_entries(self):
-        """(id, `index_keys` of its record) for every record, those of a
-        record still held as its line read off the line when it spells them
-        plainly (`_line_index_keys`)."""
-        lines = self._lines
-        for text, line in self._held():
-            cid = lines.cve_id(text)
-            record = lines.records.get(text)
-            keys = _line_index_keys(cid, line) if record is None else None
-            yield cid, keys or index_keys(lines.record(text))
-        yield from ((cid, index_keys(record)) for cid, record in self._own.items())
+    def scan(self, keys) -> list[CveId]:
+        """The ids of the records a `query_public` filter on every
+        `(field, value)` of `keys` may match, decoding no line: each filter
+        keeps the lines the one before kept that may spell its value, and
+        every record stored since the load is taken; the predicate decides."""
+        held = list(self._held())
+        for field, value in keys:
+            if field == "year":
+                prefix = f"CVE-{value}-"
+                held = [(text, line) for text, line in held if text.startswith(prefix)]
+            else:
+                name = {"status": b"status", "submitter": b"submitterCNA", "product": b"product"}[field]
+                # a CveStatus is a str; surrogatepass: a value no line can spell still makes a needle
+                needle = b'"%s":%s' % (name, to_canonical_json(value).encode("utf-8", "surrogatepass"))
+                key = b'"%s":"' % name
+                held = [(text, line) for text, line in held if _may_spell(line, key, needle)]
+        return [*(self._lines.cve_id(text) for text, _ in held), *self._own]
 
 
-_STATUSES = {status.value: status for status in CveStatus}
-
-
-def _line_string(line: bytes, key: bytes) -> str | None:
-    """The string value after the first `key` (a `"name":"`) in an entry
-    line, or None where it holds an escape, which only a decode reads right.
-    No object nested in a record has a `status`, `submitterCNA` or `product`
-    key, so the first is the record's own."""
+def _may_spell(line: bytes, key: bytes, needle: bytes) -> bool:
+    """Whether an entry `line` may hold a record whose field is the value a
+    writer spells `needle` (`"<name>":<canonical JSON>`): it holds the
+    needle, lacks `key` (`"<name>":"`), or holds an escape in the value
+    after its first `key`. A writer nests no such key, so an escaped,
+    re-spaced or missing value is decoded and refused, but a forged value
+    behind a nested key of its name is left unread."""
+    if needle in line:
+        return True
     start = line.find(key)
-    if start < 0:
-        return None
-    start += len(key)
-    end = line.find(b'"', start)
-    value = line[start:end]
-    if end < 0 or b"\\" in value:
-        return None
-    try:
-        return value.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-
-
-def _line_index_keys(cid: CveId, line: bytes) -> tuple | None:
-    """`index_keys` of the record on the entry `line` of `cid`, read off
-    the line without decoding it; None where the line does not spell them
-    plainly."""
-    status = _STATUSES.get(_line_string(line, b'"status":"'))
-    submitter = _line_string(line, b'"submitterCNA":"')
-    product = _line_string(line, b'"product":"')
-    if status is None or submitter is None or product is None:
-        return None
-    return (("status", status), ("submitter", submitter), ("product", product), ("year", cid.year))
+    end = line.find(b'"', start + len(key))
+    return start < 0 or end < 0 or b"\\" in line[start:end]
 
 
 class SnapshotLog(Sequence):
@@ -1012,7 +993,7 @@ def record_view_bytes(record: CveRecord, clock_now: int) -> bytes:
     a record has at most two views, withheld and public, and each is
     computed once per record object whatever the clock."""
     key = "_view_withheld" if is_content_withheld(record, clock_now) else "_view_public"
-    return _kept(record, key, lambda r: to_canonical_bytes(record_view(r, clock_now)))
+    return kept(record, key, lambda r: to_canonical_bytes(record_view(r, clock_now)))
 
 
 # the order of CveId as a C-level sort key: the dataclass's own comparison
@@ -1036,13 +1017,13 @@ def query_public(
     never match records whose content is still withheld: matching would
     leak the hidden field through the filter.
 
-    The index narrows, the predicate decides: an id lookup, or else the
-    smallest bucket of `state.query_index()` among the status, submitter,
-    product and year filters, picks the candidates (the whole registry when
-    none of those is given), and the per-record checks below decide every
-    candidate, withheld content included. That is exact as long as every
-    match is in its bucket, which `store` keeps true once the index is
-    built."""
+    The candidates narrow, the predicate decides: an id lookup, or else
+    the smallest bucket of `state.query_index()` among the filters (the
+    whole registry when none is given), picks the candidates, and the
+    per-record checks below decide every one, withheld content included.
+    On a checkpoint-loaded state, as in a one-shot `cveledger query`,
+    `SnapshotRegistry.scan` of all the filters picks them instead, so only
+    the lines it takes are decoded and no index is built."""
     if view is None:
         view = record_view
     now = state.clock_now
@@ -1055,7 +1036,9 @@ def query_public(
             for f, v in (("status", status), ("submitter", submitter), ("product", product), ("year", year))
             if v is not None
         ]
-        if keys:
+        if keys and isinstance(registry, SnapshotRegistry):
+            candidates = sorted(registry.scan(keys), key=_ID_ORDER)
+        elif keys:
             index = state.query_index()
             candidates = sorted(min((index.get(key, ()) for key in keys), key=len), key=_ID_ORDER)
         else:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cveledger.cli import main
+from cveledger.cli import build_parser, main
 
 
 def run_cli(capsys, *argv) -> tuple[int, object, str]:
@@ -253,3 +253,41 @@ class TestDecideAndReplay:
         ledger.write_bytes(ledger.read_bytes() + b'{"height": 99, "partial')
         code, after, _ = run_cli(capsys, "--data-dir", str(data_dir), "replay")
         assert code == 0 and after == before
+
+
+class TestParserBuiltOnce:
+    ARGVS = [
+        ["--data-dir", "a", "query", "--product", "widget", "--year", "2025", "--status", "DRAFT"],
+        ["query", "--id", "CVE-2025-0001"],
+        ["status", "CVE-2025-0001", "ARCHIVED", "--as", "cna.redhat"],
+        ["reject", "CVE-2025-0001", "--reason", "dup"],
+        ["dispute", "CVE-2025-0001", "--reason", "no", "--ref", "x"],
+        ["dispute", "CVE-2025-0001", "--reason", "no"],
+        ["init", "--now", "5", "--peers", "4"],
+        ["init"],
+        ["decide", "--store", "--public"],
+        ["decide"],
+        ["query"],
+    ]
+
+    def test_every_parse_answers_as_a_fresh_parser_does(self):
+        parser = build_parser()
+        assert build_parser() is parser
+        for argv in self.ARGVS + self.ARGVS[::-1]:
+            assert vars(parser.parse_args(argv)) == vars(build_parser.__wrapped__().parse_args(argv)), argv
+
+    def test_consecutive_commands_leak_no_filter(self, tmp_path, data_dir, capsys):
+        onboard_redhat(capsys, data_dir, tmp_path)
+        run_cli(capsys, "--data-dir", str(data_dir), "submit", write_record(tmp_path))
+        queries = [
+            (["--product", "widget", "--year", "2025"], ["CVE-2025-0001"]),
+            (["--year", "2024"], []),
+            ([], ["CVE-2025-0001"]),
+            (["--submitter", "cna.other"], []),
+            (["--status", "PUBLISHED"], ["CVE-2025-0001"]),
+        ]
+        for argv, expected in queries * 2:
+            code, out, _ = run_cli(capsys, "--data-dir", str(data_dir), "query", *argv)
+            assert code == 0 and [row["cveID"] for row in out] == expected, argv
+            assert main(["query", "--year", "not-a-year"]) == 2
+            capsys.readouterr()

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,7 @@ from cveledger.identity import (
     verify_certificate,
     verify_payload,
 )
+from cveledger.node import _key_file
 
 from conftest import TEST_SEED
 
@@ -209,6 +212,19 @@ class TestSignatures:
         for size in sizes:
             payload = rng.randbytes(size)
             assert verify_payload(key.public_hex, payload, sign_payload(key, payload))
+
+    def test_a_kept_signing_key_signs_as_a_fresh_one_and_stays_out_of_the_fields(self):
+        key = subject_key("signer.kept")
+        twin = KeyPair(seed_hex=key.seed_hex, public_hex=key.public_hex)  # nothing kept yet
+        payloads = [b"", b"payload", bytes(range(256)) * 8]
+        fresh = [Ed25519PrivateKey.from_private_bytes(bytes.fromhex(key.seed_hex)).sign(p) for p in payloads]
+        assert [sign_payload(key, p) for p in payloads] == [sign_payload(twin, p) for p in payloads] == fresh
+        assert key.private_key() is key.private_key()
+        assert key == twin and hash(key) == hash(twin)
+        assert dataclasses.asdict(key) == dataclasses.asdict(twin) == {
+            "seed_hex": key.seed_hex, "public_hex": key.public_hex,
+        }
+        assert _key_file(key) == _key_file(twin) == {"seedHex": key.seed_hex, "publicKey": key.public_hex}
 
     @settings(max_examples=200, deadline=None)
     @given(payload=st.binary(max_size=8192))

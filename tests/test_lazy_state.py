@@ -8,8 +8,9 @@ order, through every container operation, copies and mutations, and needs
 each answer to be the one a replay from genesis gives. The counting tests
 need an open plus one write to decode the drafts and the touched record
 only, whatever the size of the registry. A checkpoint whose state hash
-was recomputed over a line that does not decode is trusted, so that line
-is refused with `LedgerCorrupt`, naming the file to delete, when it is read.
+was recomputed over a line that does not decode, or is not the exact
+encoding of what it decodes to, is trusted, so that line is refused with
+`LedgerCorrupt`, naming the file to delete, when it is read.
 """
 
 from __future__ import annotations
@@ -289,6 +290,12 @@ FORGED_ENTRIES = {
     "not JSON": lambda line: line[:-1],
     "NaN": lambda line: line.replace(b'"cvssScore":7.5', b'"cvssScore":NaN'),
     "too deep (RecursionError)": lambda line: line[:-1] + b',"zz":' + b"[" * 100000 + b"]" * 100000 + b"}",
+    # lines that decode but are not their record's exact encoding
+    "lone surrogate": lambda line: line.replace(b"flaw number", b"flaw \\ud800 number"),
+    "escaped product": lambda line: line.replace(b'"product":"widget-0"', b'"product":"\\u0077idget-0"'),
+    "space after a colon": lambda line: line.replace(b'"product":"', b'"product": "'),
+    "missing key (a default)": _with_record(lambda obj: obj.pop("references")),
+    "unknown nested key": _with_record(lambda obj: obj["severity"].update(zzz=1)),
 }
 
 
@@ -322,6 +329,25 @@ def test_a_trusted_record_line_that_does_not_decode_is_refused_when_read(grown, 
     assert {path: path.read_bytes() for path in files} == files
     mark.unlink()
     assert run(copy, "query", "--id", "CVE-2025-0002")[0] == 0
+
+
+def test_a_forged_value_behind_a_nested_key_of_its_name_is_left_unread_by_a_query_of_it(grown, tmp_path):
+    # the first `"product":"` of the line is the nested one, so the scan for
+    # `widget-0` passes it over, as the raw-field reader it replaced did
+    copy = tmp_path / "node"
+    shutil.copytree(grown, copy)
+    respelled = _with_record(lambda obj: obj["severity"].update(product="x"))
+    _forge(
+        checkpoint_path(copy / LEDGER_FILE),
+        _entry("CVE-2025-0002", lambda line: respelled(line).replace(b'"product":"', b'"product": "', 1)),
+    )
+    code, out, _ = run(copy, "query", "--product", "widget-0")
+    assert code == 0 and "CVE-2025-0002" not in out
+    for argv in (["query", "--id", "CVE-2025-0002"], ["query", "--product", "x"]):
+        _refused(run(copy, *argv), "nested")
+    checkpoint_path(copy / LEDGER_FILE).unlink()
+    rows = json.loads(run(copy, "query", "--product", "widget-0")[1])
+    assert [row for row in rows if row["cveID"] != "CVE-2025-0002"] == json.loads(out) != rows
 
 
 def test_a_trusted_draft_summary_or_registry_that_does_not_decode_is_refused_on_open(grown, tmp_path):
@@ -361,6 +387,25 @@ def test_a_trusted_event_line_that_does_not_decode_is_refused_when_indexed(grown
         state.event_log[0]
     # a tick reads only the events its own block appends
     assert run(copy, "tick")[0] == 0
+
+
+FORGED_EVENTS = {
+    "space after a colon": lambda line: line.replace(b'"kind":', b'"kind": '),
+    "lone surrogate": lambda line: line.replace(b'"payload":{', b'"payload":{"a":"\\ud800",'),
+}
+
+
+@pytest.mark.parametrize("forgery", sorted(FORGED_EVENTS))
+def test_a_trusted_event_line_that_is_not_its_exact_encoding_is_refused_when_indexed(grown, tmp_path, forgery):
+    copy = tmp_path / "node"
+    shutil.copytree(grown, copy)
+    edit = FORGED_EVENTS[forgery]
+    _forge(
+        checkpoint_path(copy / LEDGER_FILE),
+        lambda summary, entries, events: (summary, entries, [edit(events[0]), *events[1:]]),
+    )
+    with pytest.raises(LedgerCorrupt, match="event 0 in the state checkpoint .*ledger.jsonl.state.* delete "):
+        load_ledger(copy / LEDGER_FILE)[1].event_log[0]
 
 
 def test_writing_a_checkpoint_decodes_nothing(grown, tmp_path, monkeypatch):
