@@ -4,6 +4,12 @@ All output is JSON: results on stdout, errors as a single line on stderr.
 Exit codes: 0 success, 1 domain error (guard failure, invalid audit),
 2 usage error.
 
+Each subcommand is declared once, in `COMMANDS`, in the order `--help`
+lists them: its name, help, arguments and handler, and whether the handler
+runs on the `Node` that `Node.open` returns (the writers) or on the data
+dir's path. `build_parser` builds the parser from the table; `main` looks
+the parsed command up in it, runs the handler and prints what it returns.
+
 Read commands never write the ledger. Writers leave the state checkpoint
 next to it (`ledger.jsonl.state`) after each committed block, so that the
 next write or `query` decodes and replays only the blocks appended since.
@@ -21,7 +27,9 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 from .bench import bench
 from .canonical import to_canonical_json
@@ -31,7 +39,7 @@ from .identity import ROLE_CNA, ROLE_GOVERNANCE, ROLE_READER
 # replay and read_chain are looked up here by the benchmark's span tracer
 from .ledger import replay, state_hash  # noqa: F401
 from .node import LEDGER_FILE, Node, load_data_dir, read_json_file
-from .records import CveStatus
+from .records import CveStatus, parse_cve_id
 from .storage import audit_file, read_chain  # noqa: F401
 
 DEFAULT_DATA_DIR = os.environ.get("CVELEDGER_DATA_DIR", "./cveledger-data")
@@ -51,99 +59,99 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-@functools.cache
-def build_parser() -> _Parser:
-    """The parser, built once per process: a parse fills its own namespace."""
-    parser = _Parser(prog="cveledger", description="Permissioned-ledger CVE registry")
-    parser.add_argument(
-        "--data-dir", default=DEFAULT_DATA_DIR, help="node data directory (ledger, keys, certs)"
+def _arg(*flags, **kwargs) -> tuple:
+    """One `add_argument` call of a subcommand."""
+    return flags, kwargs
+
+
+# the acting participant of a correction; `status` declares its own, with a help text
+_AS = _arg("--as", dest="caller", default=None)
+_STATUSES = [s.value for s in CveStatus]
+
+
+class _Command(NamedTuple):
+    """One subcommand. `run(args, target)` gets the parsed args and the
+    `Node` that `Node.open` returned if `on_node`, else the data dir's path;
+    it returns the result to print, or None once it has printed its own.
+    The command exits 1 when `ok(result)` is false."""
+
+    name: str
+    help: str
+    arguments: tuple
+    run: Callable
+    on_node: bool = False
+    ok: Callable = lambda out: True
+
+
+def _decide(args, data_dir) -> dict:
+    inputs = DecisionInputs(
+        need_store=args.store,
+        multiple_writers=args.writers,
+        online_ttp_available=args.ttp,
+        writers_known=args.known,
+        writers_trusted=args.trusted,
+        public_verifiability=args.public,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    return {"inputs": inputs.to_dict(), "verdict": decide_architecture(inputs).value}
 
-    p = sub.add_parser("init", help="create CA, genesis block, bootstrap governance")
-    p.add_argument("--now", type=int, default=None, help="genesis block time (unix seconds)")
-    p.add_argument("--peers", type=int, default=3)
-    p.add_argument("--port", type=int, default=8440)
 
-    p = sub.add_parser("issue", help="issue a certificate (and local key) for a participant")
-    p.add_argument("participant")
-    p.add_argument("--role", choices=[ROLE_CNA, ROLE_GOVERNANCE, ROLE_READER], default=ROLE_CNA)
-    p.add_argument("--out", default=None, help="certificate file to write")
+def _init(args, data_dir) -> dict:
+    with Node.init(data_dir, genesis_time=args.now, peer_count=args.peers, listen_port=args.port) as node:
+        return {
+            "dataDir": str(data_dir),
+            "genesisBlockHash": node.net.chain[0].block_hash,
+            "caPublicKey": node.net.ca.public_key,
+            "governance": node.config.governance_id,
+            "peers": sorted(node.net.trust.peer_keys),
+        }
 
-    p = sub.add_parser("onboard", help="authorize a CNA (governance)")
-    p.add_argument("cna")
-    p.add_argument("certfile")
 
-    p = sub.add_parser("revoke", help="revoke a CNA's authorization and certificate")
-    p.add_argument("cna")
+def _replay(args, data_dir) -> dict:
+    _, chain, state, _ = load_data_dir(data_dir, checkpoint=False)
+    return {"stateHash": state_hash(state), "height": chain[-1].height}
 
-    p = sub.add_parser("submit", help="submit a CVE record")
-    p.add_argument("record_json")
-    p.add_argument("--embargo", type=int, default=None, help="embargo until (unix seconds)")
 
-    p = sub.add_parser("status", help="transition a record's lifecycle status")
-    p.add_argument("cve_id")
-    p.add_argument("new_status", choices=[s.value for s in CveStatus])
-    p.add_argument("--as", dest="caller", default=None, help="acting participant id")
+def _query(args, data_dir) -> list:
+    from .ledger import query_public  # looked up per call: the span tracer patches it
 
-    p = sub.add_parser("reject", help="reject a record with an explanation")
-    p.add_argument("cve_id")
-    p.add_argument("--reason", required=True)
-    p.add_argument("--as", dest="caller", default=None)
+    _, _, state, _ = load_data_dir(data_dir)
+    return query_public(
+        state,
+        status=None if args.status is None else CveStatus(args.status),
+        product=args.product,
+        year=args.year,
+        cve_id=None if args.cve_id is None else parse_cve_id(args.cve_id),
+        submitter=args.submitter,
+    )
 
-    p = sub.add_parser("dispute", help="mark a record disputed")
-    p.add_argument("cve_id")
-    p.add_argument("--reason", required=True, help="nature of the dispute")
-    p.add_argument("--ref", default=None, help="external reference backing the dispute")
-    p.add_argument("--as", dest="caller", default=None)
 
-    p = sub.add_parser("merge", help="merge duplicate records onto the canonical id")
-    p.add_argument("ids", nargs="+")
-    p.add_argument("--meta", required=True, help="candidates JSON (criteria per id)")
-    p.add_argument("--as", dest="caller", default=None)
+def _serve(args, data_dir) -> None:
+    """Prints where it serves before it blocks, so it returns nothing to print."""
+    from .httpapi import serve_queries
 
-    p = sub.add_parser("split", help="split one record into several")
-    p.add_argument("cve_id")
-    p.add_argument("--candidates", required=True, help="split candidates JSON")
-    p.add_argument("--as", dest="caller", default=None)
+    config, chain, state, _ = load_data_dir(data_dir, checkpoint=False)
+    port = args.port if args.port is not None else config.listen_port
+    server = serve_queries(state, chain, port=port, ledger_path=data_dir / LEDGER_FILE)
+    _emit({"serving": f"http://127.0.0.1:{server.server_address[1]}", "height": chain[-1].height})
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        server.server_close()
 
-    p = sub.add_parser("partialdup", help="resolve partially overlapping records")
-    p.add_argument("keep")
-    p.add_argument("revise")
-    p.add_argument("--as", dest="caller", default=None)
 
-    p = sub.add_parser("tick", help="advance the chain clock and sweep embargoes")
-    p.add_argument("--now", type=int, default=None)
-
-    p = sub.add_parser("query", help="query public record views")
-    p.add_argument("--status", choices=[s.value for s in CveStatus], default=None)
-    p.add_argument("--product", default=None)
-    p.add_argument("--year", type=int, default=None)
-    p.add_argument("--id", dest="cve_id", default=None)
-    p.add_argument("--submitter", default=None)
-
-    sub.add_parser("audit", help="verify the ledger file; exit 0 iff valid")
-    sub.add_parser("replay", help="replay the ledger file and print the state hash")
-
-    p = sub.add_parser("decide", help="blockchain-suitability decision (six yes/no flags)")
-    for flag, dest in (
-        ("--store", "store"),
-        ("--writers", "writers"),
-        ("--ttp", "ttp"),
-        ("--known", "known"),
-        ("--trusted", "trusted"),
-        ("--public", "public"),
-    ):
-        p.add_argument(flag, dest=dest, action="store_true")
-
-    p = sub.add_parser("bench", help="throughput/latency benchmark")
-    p.add_argument("--txs", type=int, required=True)
-    p.add_argument("--peers", type=int, default=3)
-
-    p = sub.add_parser("serve", help="read-only query endpoints")
-    p.add_argument("--port", type=int, default=None)
-
-    return parser
+def _issue(args, node) -> dict:
+    cert = node.issue(args.participant, args.role)
+    out_path = Path(args.out or f"{args.participant}.cert.json")
+    out_path.write_text(to_canonical_json(cert.to_dict()) + "\n", encoding="utf-8")
+    return {
+        "subject": cert.subject,
+        "role": cert.role,
+        "serial": cert.serial,
+        "certHash": cert.cert_hash(),
+        "certFile": str(out_path),
+    }
 
 
 def _merge_meta(candidates: list) -> list:
@@ -152,155 +160,114 @@ def _merge_meta(candidates: list) -> list:
     return candidates
 
 
-def _run(args) -> int:
-    data_dir = Path(args.data_dir)
-    command = args.command
+def _merge(args, node) -> dict:
+    candidates = read_json_file(args.meta, list, _merge_meta)
+    meta_ids = {c["cveID"] for c in candidates}
+    if meta_ids != set(args.ids):
+        raise LedgerError(f"merge ids {sorted(set(args.ids))} do not match --meta entries {sorted(meta_ids)}")
+    return node.merge(candidates, caller=args.caller)
 
-    if command == "decide":
-        inputs = DecisionInputs(
-            need_store=args.store,
-            multiple_writers=args.writers,
-            online_ttp_available=args.ttp,
-            writers_known=args.known,
-            writers_trusted=args.trusted,
-            public_verifiability=args.public,
-        )
-        _emit({"inputs": inputs.to_dict(), "verdict": decide_architecture(inputs).value})
-        return 0
 
-    if command == "bench":
-        _emit(bench(args.txs, args.peers))
-        return 0
+COMMANDS = {c.name: c for c in (
+    _Command("init", "create CA, genesis block, bootstrap governance", (
+        _arg("--now", type=int, default=None, help="genesis block time (unix seconds)"),
+        _arg("--peers", type=int, default=3),
+        _arg("--port", type=int, default=8440),
+    ), _init),
+    _Command("issue", "issue a certificate (and local key) for a participant", (
+        _arg("participant"),
+        _arg("--role", choices=[ROLE_CNA, ROLE_GOVERNANCE, ROLE_READER], default=ROLE_CNA),
+        _arg("--out", default=None, help="certificate file to write"),
+    ), _issue, on_node=True),
+    _Command("onboard", "authorize a CNA (governance)", (_arg("cna"), _arg("certfile")),
+             lambda args, node: node.onboard(args.cna, args.certfile), on_node=True),
+    _Command("revoke", "revoke a CNA's authorization and certificate", (_arg("cna"),),
+             lambda args, node: node.revoke(args.cna), on_node=True),
+    _Command("submit", "submit a CVE record", (
+        _arg("record_json"), _arg("--embargo", type=int, default=None, help="embargo until (unix seconds)"),
+    ), lambda args, node: node.submit(read_json_file(args.record_json), embargo=args.embargo), on_node=True),
+    _Command("status", "transition a record's lifecycle status", (
+        _arg("cve_id"),
+        _arg("new_status", choices=_STATUSES),
+        _arg("--as", dest="caller", default=None, help="acting participant id"),
+    ), lambda args, node: node.update_status(args.cve_id, args.new_status, caller=args.caller), on_node=True),
+    _Command("reject", "reject a record with an explanation", (_arg("cve_id"), _arg("--reason", required=True), _AS),
+             lambda args, node: node.reject(args.cve_id, args.reason, caller=args.caller), on_node=True),
+    _Command("dispute", "mark a record disputed", (
+        _arg("cve_id"),
+        _arg("--reason", required=True, help="nature of the dispute"),
+        _arg("--ref", default=None, help="external reference backing the dispute"),
+        _AS,
+    ), lambda args, node: node.dispute(args.cve_id, args.reason, external_ref=args.ref, caller=args.caller),
+        on_node=True),
+    _Command("merge", "merge duplicate records onto the canonical id", (
+        _arg("ids", nargs="+"), _arg("--meta", required=True, help="candidates JSON (criteria per id)"), _AS,
+    ), _merge, on_node=True),
+    _Command("split", "split one record into several", (
+        _arg("cve_id"), _arg("--candidates", required=True, help="split candidates JSON"), _AS,
+    ), lambda args, node: node.split(args.cve_id, read_json_file(args.candidates, object), caller=args.caller),
+        on_node=True),
+    _Command("partialdup", "resolve partially overlapping records", (_arg("keep"), _arg("revise"), _AS),
+             lambda args, node: node.partial_duplicate(args.keep, args.revise, caller=args.caller), on_node=True),
+    _Command("tick", "advance the chain clock and sweep embargoes", (_arg("--now", type=int, default=None),),
+             lambda args, node: node.tick(now=args.now), on_node=True),
+    _Command("query", "query public record views", (
+        _arg("--status", choices=_STATUSES, default=None),
+        _arg("--product", default=None),
+        _arg("--year", type=int, default=None),
+        _arg("--id", dest="cve_id", default=None),
+        _arg("--submitter", default=None),
+    ), _query),
+    _Command("audit", "verify the ledger file; exit 0 iff valid", (),
+             lambda args, data_dir: audit_file(data_dir / LEDGER_FILE).to_dict(), ok=lambda report: report["valid"]),
+    _Command("replay", "replay the ledger file and print the state hash", (), _replay),
+    _Command("decide", "blockchain-suitability decision (six yes/no flags)", tuple(
+        _arg(f"--{flag}", action="store_true") for flag in ("store", "writers", "ttp", "known", "trusted", "public")
+    ), _decide),
+    _Command("bench", "throughput/latency benchmark", (
+        _arg("--txs", type=int, required=True), _arg("--peers", type=int, default=3),
+    ), lambda args, data_dir: bench(args.txs, args.peers)),
+    _Command("serve", "read-only query endpoints", (_arg("--port", type=int, default=None),), _serve),
+)}
 
-    if command == "init":
-        with Node.init(
-            data_dir, genesis_time=args.now, peer_count=args.peers, listen_port=args.port
-        ) as node:
-            _emit(
-                {
-                    "dataDir": str(data_dir),
-                    "genesisBlockHash": node.net.chain[0].block_hash,
-                    "caPublicKey": node.net.ca.public_key,
-                    "governance": node.config.governance_id,
-                    "peers": sorted(node.net.trust.peer_keys),
-                }
-            )
-        return 0
 
-    if command == "audit":
-        report = audit_file(data_dir / LEDGER_FILE)
-        _emit(report.to_dict())
-        return 0 if report.valid else 1
-
-    if command == "replay":
-        _, chain, state, _ = load_data_dir(data_dir, checkpoint=False)
-        _emit({"stateHash": state_hash(state), "height": chain[-1].height})
-        return 0
-
-    if command == "query":
-        from .ledger import query_public
-        from .records import parse_cve_id
-
-        _, _, state, _ = load_data_dir(data_dir)
-        filters: dict = {}
-        if args.status is not None:
-            filters["status"] = CveStatus(args.status)
-        if args.product is not None:
-            filters["product"] = args.product
-        if args.year is not None:
-            filters["year"] = args.year
-        if args.cve_id is not None:
-            filters["cve_id"] = parse_cve_id(args.cve_id)
-        if args.submitter is not None:
-            filters["submitter"] = args.submitter
-        _emit(query_public(state, **filters))
-        return 0
-
-    if command == "serve":
-        from .httpapi import serve_queries
-
-        config, chain, state, _ = load_data_dir(data_dir, checkpoint=False)
-        port = args.port if args.port is not None else config.listen_port
-        server = serve_queries(state, chain, port=port, ledger_path=data_dir / LEDGER_FILE)
-        _emit({"serving": f"http://127.0.0.1:{server.server_address[1]}", "height": chain[-1].height})
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.server_close()
-        return 0
-
-    # everything below mutates the ledger
-    with Node.open(data_dir) as node:
-        if command == "issue":
-            cert = node.issue(args.participant, args.role)
-            out_path = Path(args.out or f"{args.participant}.cert.json")
-            out_path.write_text(to_canonical_json(cert.to_dict()) + "\n", encoding="utf-8")
-            _emit(
-                {
-                    "subject": cert.subject,
-                    "role": cert.role,
-                    "serial": cert.serial,
-                    "certHash": cert.cert_hash(),
-                    "certFile": str(out_path),
-                }
-            )
-            return 0
-        if command == "onboard":
-            _emit(node.onboard(args.cna, args.certfile))
-            return 0
-        if command == "revoke":
-            _emit(node.revoke(args.cna))
-            return 0
-        if command == "submit":
-            _emit(node.submit(read_json_file(args.record_json), embargo=args.embargo))
-            return 0
-        if command == "status":
-            _emit(node.update_status(args.cve_id, args.new_status, caller=args.caller))
-            return 0
-        if command == "reject":
-            _emit(node.reject(args.cve_id, args.reason, caller=args.caller))
-            return 0
-        if command == "dispute":
-            _emit(node.dispute(args.cve_id, args.reason, external_ref=args.ref, caller=args.caller))
-            return 0
-        if command == "merge":
-            candidates = read_json_file(args.meta, list, _merge_meta)
-            meta_ids = {c["cveID"] for c in candidates}
-            if meta_ids != set(args.ids):
-                raise LedgerError(
-                    f"merge ids {sorted(set(args.ids))} do not match --meta entries {sorted(meta_ids)}"
-                )
-            _emit(node.merge(candidates, caller=args.caller))
-            return 0
-        if command == "split":
-            _emit(node.split(args.cve_id, read_json_file(args.candidates, object), caller=args.caller))
-            return 0
-        if command == "partialdup":
-            _emit(node.partial_duplicate(args.keep, args.revise, caller=args.caller))
-            return 0
-        if command == "tick":
-            _emit(node.tick(now=args.now))
-            return 0
-
-    raise LedgerError(f"unhandled command: {command}")
+@functools.cache
+def build_parser() -> _Parser:
+    """The parser, built once per process: a parse fills its own namespace."""
+    parser = _Parser(prog="cveledger", description="Permissioned-ledger CVE registry")
+    parser.add_argument(
+        "--data-dir", default=DEFAULT_DATA_DIR, help="node data directory (ledger, keys, certs)"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command in COMMANDS.values():
+        p = sub.add_parser(command.name, help=command.help)
+        for flags, kwargs in command.arguments:
+            p.add_argument(*flags, **kwargs)
+    return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = COMMANDS[args.command]
+    data_dir = Path(args.data_dir)
     try:
-        return _run(args)
+        if command.on_node:
+            with Node.open(data_dir) as node:
+                out = command.run(args, node)
+        else:
+            out = command.run(args, data_dir)
+        if out is not None:
+            _emit(out)
     except LedgerError as exc:
         _fail(exc.code, str(exc))
         return 1
     except (OSError, ValueError) as exc:
         _fail(type(exc).__name__, str(exc))
         return 1
+    return 0 if command.ok(out) else 1
 
 
 if __name__ == "__main__":

@@ -31,6 +31,10 @@ class InvalidParticipantId(LedgerError):
     pass
 
 
+class Revoked(LedgerError):
+    pass
+
+
 # record model
 class MalformedId(LedgerError):
     pass
@@ -48,8 +52,7 @@ class UnauthorizedCaller(LedgerError):
 class SchemaViolation(LedgerError):
     def __init__(self, violations):
         self.violations = list(violations)
-        codes = ",".join(v.code for v in self.violations)
-        super().__init__(f"schema violations: {codes}")
+        super().__init__("; ".join(f"{v.field}: {v.message} ({v.code})" for v in self.violations))
 
 
 class DuplicateCveId(LedgerError):

@@ -27,7 +27,7 @@ from .chaincode import (
     execute_transaction,
 )
 from .corrections import OP_DISPUTE, OP_MERGE, OP_PARTIAL_DUP, OP_REJECT, OP_SPLIT
-from .errors import BadCertificate, ClockRegression, LedgerError, UnauthorizedCaller
+from .errors import BadCertificate, ClockRegression, LedgerError, Revoked, UnauthorizedCaller
 from .identity import (
     Certificate,
     CertificateAuthority,
@@ -76,8 +76,11 @@ class OrdererConfig:
 @dataclass(frozen=True)
 class Refusal:
     peer_id: str
-    code: str
-    message: str
+    error: LedgerError  # raised to the caller when it is the first refusal
+
+    @property
+    def code(self) -> str:
+        return self.error.code
 
 
 class Peer:
@@ -102,25 +105,25 @@ class Peer:
         caller = payload["caller"]
         cert = self.state.certificates.get(caller)
         if cert is None:
-            return Refusal(self.peer_id, BadCertificate("").code, f"no certificate for {caller}")
+            return Refusal(self.peer_id, BadCertificate(f"no certificate for {caller}"))
         if cert.role == ROLE_READER:
-            return Refusal(self.peer_id, UnauthorizedCaller("").code, "readers cannot sign")
+            return Refusal(self.peer_id, UnauthorizedCaller("readers cannot sign"))
         if not tx.caller_signature or not verify_payload(
             cert.public_key, tx.payload_bytes(), bytes.fromhex(tx.caller_signature)
         ):
-            return Refusal(self.peer_id, BadCertificate("").code, "payload signature invalid")
+            return Refusal(self.peer_id, BadCertificate("payload signature invalid"))
         try:
             execute_transaction(
                 self.state, payload, ChainClock(payload["clockNow"]), check_only=True
             )
         except LedgerError as exc:
-            return Refusal(self.peer_id, exc.code, str(exc))
+            return Refusal(self.peer_id, exc.with_traceback(None))  # keeps no frame of the dry run
         serials = [cert.serial]
         if payload["op"] == OP_ONBOARD:  # the dry run has decoded its certificate
             serials.append(Certificate.from_dict(payload["args"]["certificate"]).serial)
         for serial in serials:
             if serial in crl.revoked_serials:
-                return Refusal(self.peer_id, "Revoked", f"certificate serial {serial} revoked")
+                return Refusal(self.peer_id, Revoked(f"certificate serial {serial} revoked"))
         return self.peer_id, sign_payload(self.key, tx.payload_bytes()).hex()
 
     def commit_block(self, block: Block) -> None:

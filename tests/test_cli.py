@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -291,3 +293,74 @@ class TestParserBuiltOnce:
             assert code == 0 and [row["cveID"] for row in out] == expected, argv
             assert main(["query", "--year", "not-a-year"]) == 2
             capsys.readouterr()
+
+
+class TestRefusals:
+    """A refused write reports the refusal's code, and a schema refusal names
+    each violated field and the reason."""
+
+    @pytest.mark.parametrize(
+        "change, reason",
+        [
+            ({"description": ""}, "description: description must be non-empty (EMPTY_DESCRIPTION)"),
+            (
+                {"severity": {"label": "LOW", "cvssScore": 9.5}},
+                "severity: score 9.5 maps to CRITICAL, not LOW (SEVERITY_BAND_MISMATCH)",
+            ),
+        ],
+        ids=["empty-description", "band-mismatch"],
+    )
+    def test_schema_violation(self, tmp_path, data_dir, capsys, change, reason):
+        onboard_redhat(capsys, data_dir, tmp_path)
+        ledger = (data_dir / "ledger.jsonl").read_bytes()
+        record = write_record(tmp_path, dict(RECORD, **change))
+        code, out, err = run_cli(capsys, "--data-dir", str(data_dir), "submit", record)
+        assert code == 1 and out is None and len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "SchemaViolation", "message": reason}
+        assert (data_dir / "ledger.jsonl").read_bytes() == ledger
+
+    def test_revoked_certificate(self, tmp_path, data_dir, capsys):
+        onboard_redhat(capsys, data_dir, tmp_path)
+        assert run_cli(capsys, "--data-dir", str(data_dir), "revoke", "cna.redhat")[0] == 0
+        code, out, err = run_cli(
+            capsys, "--data-dir", str(data_dir), "onboard", "cna.redhat", str(tmp_path / "redhat.cert.json")
+        )
+        assert code == 1 and out is None
+        assert json.loads(err) == {"error": "Revoked", "message": "certificate serial 2 revoked"}
+
+
+SUBCOMMANDS = [
+    "init", "issue", "onboard", "revoke", "submit", "status", "reject", "dispute", "merge",
+    "split", "partialdup", "tick", "query", "audit", "replay", "decide", "bench", "serve",
+]
+# the subcommands that take a required argument
+REQUIRED = [
+    "issue", "onboard", "revoke", "submit", "status", "reject", "dispute", "merge", "split", "partialdup", "bench",
+]
+
+
+class TestUsageSurface:
+    def test_the_parser_offers_these_subcommands_in_this_order(self, capsys):
+        assert main(["--help"]) == 0
+        [choices] = re.findall(r"\{([a-z,]+)\}", capsys.readouterr().out.split("\n\n")[0])
+        assert choices.split(",") == SUBCOMMANDS
+
+    def test_readme_names_every_subcommand(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        paragraph = readme[readme.index("Subcommands:") :].split("\n\n")[0]
+        assert sorted(re.findall(r"`([a-z]+)", paragraph)) == sorted(SUBCOMMANDS)
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_help(self, capsys, name):
+        assert main([name, "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: cveledger {name} ") and captured.err == ""
+
+    @pytest.mark.parametrize("name", REQUIRED)
+    def test_a_missing_required_argument_is_one_usage_error(self, tmp_path, capsys, name):
+        assert main(["--data-dir", str(tmp_path / "missing"), name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert json.loads(line)["error"] == "UsageError"
+        assert not (tmp_path / "missing").exists()

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cveledger.cli import main
 from cveledger.errors import LedgerCorrupt, LedgerError
 from cveledger.network import OrdererConfig
 from cveledger.node import Node, NodeConfig
@@ -56,6 +57,26 @@ class TestNodeLifecycle:
             assert cert2.serial == serial + 1
             node.submit(dict(RECORD))
             assert node.memory_state_hash() == node.replay_hash()
+
+    def test_replay_hash_checks_every_line_as_replay_does(self, tmp_path, capsys):
+        data_dir = tmp_path / "d"
+        with Node.init(data_dir, genesis_time=1000, seed=b"node-test") as node:
+            cert = node.issue("cna.alpha", "CNA")
+            cert_file = tmp_path / "c.json"
+            cert_file.write_text(json.dumps(cert.to_dict()))
+            node.onboard("cna.alpha", cert_file)
+            assert node.replay_hash() == node.memory_state_hash()
+            # the same block, re-spaced: it decodes to the same content, but
+            # it is not the exact line a writer writes
+            ledger = data_dir / "ledger.jsonl"
+            data = ledger.read_bytes()
+            assert data.count(b'"cnaID":"cna.alpha"') == 1
+            ledger.write_bytes(data.replace(b'"cnaID":"cna.alpha"', b'"cnaID": "cna.alpha"'))
+            with pytest.raises(LedgerCorrupt) as err:
+                node.replay_hash()
+            assert err.value.height == 1
+        assert main(["--data-dir", str(data_dir), "replay"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "LedgerCorrupt"
 
     def test_second_writer_locked_out(self, tmp_path):
         data_dir = tmp_path / "d"
