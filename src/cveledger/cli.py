@@ -38,7 +38,7 @@ from .errors import LedgerError
 from .identity import ROLE_CNA, ROLE_GOVERNANCE, ROLE_READER
 # replay and read_chain are looked up here by the benchmark's span tracer
 from .ledger import replay, state_hash  # noqa: F401
-from .node import LEDGER_FILE, Node, load_data_dir, read_json_file
+from .node import LEDGER_FILE, Node, initialized, load_data_dir, read_json_file
 from .records import CveStatus, parse_cve_id
 from .storage import audit_file, read_chain  # noqa: F401
 
@@ -219,7 +219,8 @@ COMMANDS = {c.name: c for c in (
         _arg("--submitter", default=None),
     ), _query),
     _Command("audit", "verify the ledger file; exit 0 iff valid", (),
-             lambda args, data_dir: audit_file(data_dir / LEDGER_FILE).to_dict(), ok=lambda report: report["valid"]),
+             lambda args, data_dir: audit_file(initialized(data_dir, LEDGER_FILE)).to_dict(),
+             ok=lambda report: report["valid"]),
     _Command("replay", "replay the ledger file and print the state hash", (), _replay),
     _Command("decide", "blockchain-suitability decision (six yes/no flags)", tuple(
         _arg(f"--{flag}", action="store_true") for flag in ("store", "writers", "ttp", "known", "trusted", "public")

@@ -701,8 +701,8 @@ def snapshot_lines(state: WorldState) -> tuple[dict, list[bytes], list[bytes]]:
     return state.summary_dict(), sorted(entries), events
 
 
-# What decoding a checkpoint line raises on bytes that hold no record or event.
-_DECODE_ERRORS = (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError, LedgerError)
+# What decoding a sidecar line raises on bytes that hold no header, record or event.
+DECODE_ERRORS = (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError, LedgerError)
 
 # Every draft's entry holds this, and no other entry the writer spells does:
 # canonical JSON escapes each quote inside a string, so only a key spells it,
@@ -717,13 +717,9 @@ def _corrupt(source: str, what: str, why) -> LedgerCorrupt:
     )
 
 
-# a writer spells every checkpoint line canonically, as it does a block line
+# a writer spells every checkpoint line canonically, as it does a block line;
+# a NaN, an infinity or `1e400` decodes, but canonical JSON cannot re-encode it
 _NOT_EXACT = "it is not the exact encoding of what it decodes to"
-
-
-def _decode_json(data: bytes):
-    # as strict as a block line's decode: a NaN or an infinity is refused
-    return _LINE_DECODER.decode(data.decode("utf-8"))
 
 
 class _CheckpointLines:
@@ -759,10 +755,10 @@ class _CheckpointLines:
         if record is None:
             line = self.entries[text]
             try:
-                [obj] = _decode_json(b"{%s}" % line).values()
+                [obj] = json.loads((b"{%s}" % line).decode("utf-8")).values()
                 record = record_from_dict(typed(obj, dict, "record"))
                 exact = _registry_entry_bytes(record) == line
-            except _DECODE_ERRORS as exc:
+            except DECODE_ERRORS as exc:
                 raise _corrupt(self.source, f"the entry of {text}", repr(exc)) from None
             if not exact:
                 raise _corrupt(self.source, f"the entry of {text}", _NOT_EXACT)
@@ -776,9 +772,9 @@ class _CheckpointLines:
         if event is None:
             line = self.events[index]
             try:
-                event = Event.from_dict(typed(_decode_json(line), dict, "event"))
+                event = Event.from_dict(typed(json.loads(line.decode("utf-8")), dict, "event"))
                 exact = _event_bytes(event) == line
-            except _DECODE_ERRORS as exc:
+            except DECODE_ERRORS as exc:
                 raise _corrupt(self.source, f"event {index}", repr(exc)) from None
             if not exact:
                 raise _corrupt(self.source, f"event {index}", _NOT_EXACT)
@@ -935,7 +931,7 @@ def state_from_snapshot(
                 drafts.append(record)
     try:
         return WorldState.from_summary(summary, height, SnapshotRegistry(lines), SnapshotLog(lines), drafts)
-    except _DECODE_ERRORS as exc:
+    except DECODE_ERRORS as exc:
         raise _corrupt(source, "the summary", repr(exc)) from None
 
 

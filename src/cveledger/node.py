@@ -114,6 +114,13 @@ def _key_pair(obj: dict) -> KeyPair:
     return KeyPair.from_seed_hex(typed(obj["seedHex"], str, "seedHex"))
 
 
+def initialized(data_dir: Path, name: str) -> Path:
+    """The file `name` of `data_dir`, which `init` writes; LedgerError if it is missing."""
+    if not (data_dir / name).exists():
+        raise LedgerError(f"not an initialized data dir: {data_dir}")
+    return data_dir / name
+
+
 def load_data_dir(
     data_dir: Path, lock: DataDirLock | None = None, *, checkpoint: bool = True
 ) -> tuple[NodeConfig, Sequence[Block], WorldState, LedgerDigest]:
@@ -122,9 +129,7 @@ def load_data_dir(
     `checkpoint`), the same way for `Node` and the CLI's readers. A crash
     tail is dropped; given the writer's `lock` (taken only once the dir is
     known to be initialized), it is also repaired in the file."""
-    config_path = data_dir / CONFIG_FILE
-    if not config_path.exists():
-        raise LedgerError(f"not an initialized data dir: {data_dir}")
+    config_path = initialized(data_dir, CONFIG_FILE)
     if lock is not None:
         lock.acquire()
     config = read_json_file(config_path, parse=NodeConfig.from_dict)

@@ -23,9 +23,13 @@ reader treat the file differently on purpose:
   it has verified before are skipped only while the watermark's digest
   proves they are byte for byte the same.
 
-The checkpoint and the watermark are caches, each checked against the
-ledger before use: neither is fsynced, a stale, torn or foreign one only
-costs the full path, and deleting one forces it.
+The checkpoint and the watermark are sidecars, caches beside the ledger
+that share one header line: `offset` and `prefixSha256`, the length and
+sha256 of the ledger prefix they cover, and `height` and `tipHash`, its
+last block. `_read_sidecar` trusts one only while `offset` ends the line
+at `height`, that block hashes to `tipHash`, and the first `offset` bytes
+still hash to `prefixSha256`. Neither is fsynced: a stale, torn or foreign
+one only costs the full path, and deleting one forces it.
 """
 
 from __future__ import annotations
@@ -36,13 +40,14 @@ import json
 import logging
 import os
 import tempfile
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from pathlib import Path
 
-from .canonical import ZERO_HASH, is_hex_digest, to_canonical_bytes, typed
+from .canonical import ZERO_HASH, to_canonical_bytes, typed
 from .chaincode import WorldState
-from .errors import LedgerCorrupt, LedgerError
+from .errors import LedgerCorrupt
 from .ledger import (
+    DECODE_ERRORS,
     AuditReport,
     Block,
     ChainAuditor,
@@ -157,8 +162,8 @@ def _repair_tail(path: Path, size: int, tail: bytes, block: Block | None) -> Non
 
 class LedgerDigest:
     """The length and sha256 of a ledger file's bytes, kept current by its
-    one writer as it appends: what a checkpoint records of the prefix it
-    covers."""
+    one writer as it appends: what a sidecar header records of the prefix
+    it covers."""
 
     def __init__(self, sha=None, size: int = 0):
         self._sha = hashlib.sha256() if sha is None else sha
@@ -187,10 +192,8 @@ def load_ledger(
     Every line it decodes must pass `checked_block` and link to the block
     before it, or it raises LedgerCorrupt at that line's height. With
     `checkpoint` it first reads the state checkpoint (`checkpoint_path`,
-    written by `write_checkpoint`) and trusts it only if every field is
-    well-typed, `offset` ends the line of the block at `height`, whose hash
-    is `tipHash`, the first `offset` bytes of the file still hash to
-    `prefixSha256`, and its snapshot lines, spliced undecoded, hash to
+    written by `write_checkpoint`) and trusts it only if its header passes
+    `_read_sidecar` and its snapshot lines, spliced undecoded, hash to
     `stateHash`. Otherwise it logs a warning (a missing checkpoint is not
     warned about) and decodes and replays every line. A trusted checkpoint
     is loaded by `ledger.state_from_snapshot`, which decodes its summary
@@ -213,7 +216,7 @@ def load_ledger(
     data = path.read_bytes()
     size = len(data)
     lines, tail = split_lines(data)
-    found = _read_checkpoint(path, data, lines) if checkpoint else None
+    found = _read_checkpoint(path, data) if checkpoint else None
     height, tip, state, digest = found or (-1, ZERO_HASH, WorldState(), LedgerDigest())
     digest.update(memoryview(data)[digest.size : size - len(tail)])
     del data  # the lines hold the same bytes, and the chain keeps them
@@ -229,62 +232,52 @@ def load_ledger(
     return LineChain(lines), state, digest
 
 
-def _read_checkpoint(
-    path: Path, data: bytes, lines: list[bytes]
-) -> tuple[int, str, WorldState, LedgerDigest] | None:
+def _read_checkpoint(path: Path, data: bytes) -> tuple[int, str, WorldState, LedgerDigest] | None:
     """(height, tip hash, state, digest of the prefix) of the checkpoint of
     the ledger `data` at `path` if `load_ledger` may trust it, else None;
     LedgerCorrupt if it is trusted but its summary or a draft's line does
     not decode."""
     mark = checkpoint_path(path)
-    try:
-        header_line, *snapshot, rest = mark.read_bytes().split(b"\n")
-        header = typed(json.loads(header_line), dict, "checkpoint")
-        sha = _prefix_sha(header, data)
-        height, tip = header["height"], header["tipHash"]
-        if not is_hex_digest(tip, 64) or not is_hex_digest(header["stateHash"], 64):
-            raise ValueError("tipHash and stateHash must be 64 lowercase hex chars")
-        if parse_line(lines[height]).block_hash != tip:
-            raise ValueError(f"tipHash is not the hash of the block at height {height}")
-        records = typed(header["records"], int, "records")
-        if rest or not 0 <= records <= len(snapshot):
-            raise ValueError("the snapshot is cut short")
-        summary = typed(header["summary"], dict, "summary")
-        entries, events = snapshot[:records], snapshot[records:]
-        if snapshot_hash(summary, entries, events) != header["stateHash"]:
-            raise ValueError("the snapshot does not hash to stateHash")
-    except FileNotFoundError:
+    found = _read_sidecar(mark, data, _checkpoint_log, "state checkpoint", _snapshot)
+    if found is None:
         return None
-    except (
-        AttributeError, IndexError, KeyError, OSError, OverflowError, RecursionError, TypeError, ValueError, LedgerError
-    ) as exc:
-        _checkpoint_log.warning("ignoring state checkpoint %s: %s", mark, exc)
-        return None
+    (height, tip, *snapshot), digest = found
     # trusted from here on: lines that do not decode are refused, not ignored
-    state = state_from_snapshot(summary, entries, events, height, str(mark))
-    return height, tip, state, LedgerDigest(sha, header["offset"])
+    return height, tip, state_from_snapshot(*snapshot, height, str(mark)), digest
+
+
+def _snapshot(header: dict, body: list[bytes]) -> tuple:
+    """(height, tip hash, summary, entries, events) of a checkpoint whose
+    `body` lines are the snapshot its header counts and hashes; otherwise
+    ValueError."""
+    *snapshot, rest = body
+    records = typed(header["records"], int, "records")
+    if rest or not 0 <= records <= len(snapshot):
+        raise ValueError("the snapshot is cut short")
+    summary = typed(header["summary"], dict, "summary")
+    entries, events = snapshot[:records], snapshot[records:]
+    if snapshot_hash(summary, entries, events) != header["stateHash"]:
+        raise ValueError("the snapshot does not hash to stateHash")
+    return header["height"], header["tipHash"], summary, entries, events
 
 
 def write_checkpoint(path: Path, digest: LedgerDigest, tip: Block, state: WorldState) -> None:
     """Replace the state checkpoint of the ledger at `path` with `state`,
     the state after `tip`, the last block of the `digest.size` bytes that
-    `digest` covers. The first line holds `offset`, `prefixSha256`,
-    `height`, `tipHash`, `stateHash`, the state's `summary` and the count
-    of `records`; one line per registry entry and then one per event
-    follow, each the bytes `ledger.snapshot_lines` keeps, so writing one
-    encodes only what is new since the last."""
+    `digest` covers. After the sidecar header come its `stateHash`, the
+    state's `summary` and the count of `records`; one line per registry
+    entry and then one per event follow, each the bytes
+    `ledger.snapshot_lines` keeps, so writing one encodes only what is new
+    since the last."""
     summary, entries, events = snapshot_lines(state)
-    header = {
+    fields = {
         "height": tip.height,
-        "offset": digest.size,
-        "prefixSha256": digest.hexdigest(),
         "records": len(entries),
         "stateHash": snapshot_hash(summary, entries, events),
         "summary": summary,
         "tipHash": tip.block_hash,
     }
-    body = b"\n".join([to_canonical_bytes(header), *entries, *events]) + b"\n"
-    _replace_unsynced(checkpoint_path(path), body, _checkpoint_log, "state checkpoint")
+    _write_sidecar(checkpoint_path(path), digest, fields, entries + events, _checkpoint_log, "state checkpoint")
 
 
 def watermark_path(path: Path) -> Path:
@@ -297,16 +290,16 @@ def audit_file(path: Path) -> AuditReport:
     """Strict audit of a ledger file that verifies only the lines appended
     since its last valid audit.
 
-    After a valid audit the watermark file (`watermark_path`) records the
-    `offset` of the end of the audited bytes, their `prefixSha256`, and the
-    context the auditor ended with: `height`, `tipHash`, `prevTime` and
-    `callerKeys`. The next audit trusts it only if it decodes with every
-    field well-typed, `offset` ends a line of the file and that line is the
-    block at `height`, and the sha256 of the first `offset` bytes is still
-    `prefixSha256`; it then resumes after `height` and runs every check on
-    every later line. Otherwise it audits from genesis and logs a warning
-    (a missing watermark is a first audit, and is not warned about). A
-    watermark that cannot be written is logged and skipped.
+    After a valid audit the watermark file (`watermark_path`) is the
+    sidecar header of the audited bytes plus the rest of the context the
+    auditor ended with, `prevTime` and `callerKeys`. The next audit trusts
+    it only if `_read_sidecar` does and `ChainAuditor.audit` accepts that
+    context; it then resumes after `height`, runs every check on every
+    later line, and extends the digest of the covered prefix that the
+    header check computed, so each ledger byte is hashed once. Otherwise it
+    audits from genesis and logs a warning (a missing watermark is a first
+    audit, and is not warned about). A watermark that cannot be written is
+    logged and skipped.
 
     Threat model: the watermark only caches the auditor's own work. An edit
     of the ledger file alone is still caught, with the full audit's first
@@ -318,75 +311,70 @@ def audit_file(path: Path) -> AuditReport:
     path = Path(path)
     data = path.read_bytes()
     mark = watermark_path(path)
-    start = _read_watermark(mark, data)
+    found = _read_sidecar(mark, data, _watermark_log, "audit watermark", lambda header, body: header)
+    start, digest = found or (None, LedgerDigest())
     auditor = ChainAuditor()
     try:
         report, end = auditor.audit(data, start)
     except ValueError as exc:
         _watermark_log.warning("ignoring audit watermark %s: %s", mark, exc)
-        start = None
+        start = None  # the digest still covers its prefix
         report, end = auditor.audit(data)
     if end is not None and (start is None or end["height"] != start["height"]):
-        _write_watermark(mark, data, end)
+        digest.update(memoryview(data)[digest.size :])
+        _write_sidecar(mark, digest, end, [], _watermark_log, "audit watermark")
     return report
 
 
-def _read_watermark(mark: Path, data: bytes) -> dict | None:
-    """The watermark at `mark` if it still describes a prefix of `data`,
-    else None. Whether its context matches the block at its height is
-    `ChainAuditor.audit`'s to check."""
+def _read_sidecar(mark: Path, data: bytes, log: logging.Logger, what: str, check: Callable):
+    """(`check(header, body)`, the digest of the covered prefix) if the
+    sidecar `mark` still describes a prefix of the ledger `data`: its
+    header's `offset` ends the line at `height`, whose block hashes to
+    `tipHash`, and the first `offset` bytes hash to `prefixSha256`. Else
+    None, with a warning on `log` unless there is no sidecar. `body` is the
+    lines after the header, the last being what follows the final newline;
+    `check` refuses the sidecar by raising what this catches."""
     try:
-        obj = typed(json.loads(mark.read_bytes()), dict, "watermark")
-        _prefix_sha(obj, data)
+        header_line, *body = mark.read_bytes().split(b"\n")
+        header = typed(json.loads(header_line), dict, what)
+        offset, height = typed(header["offset"], int, "offset"), typed(header["height"], int, "height")
+        if not 0 < offset <= len(data) or data[offset - 1] != ord("\n"):
+            raise ValueError(f"offset {offset} does not end a line of the ledger")
+        if data.count(b"\n", 0, offset) != height + 1:
+            raise ValueError(f"offset {offset} does not end the line of its height")
+        if parse_line(data[data.rfind(b"\n", 0, offset - 1) + 1 : offset - 1]).block_hash != header["tipHash"]:
+            raise ValueError(f"tipHash is not the hash of the block at height {height}")
+        sha = hashlib.sha256(memoryview(data)[:offset])
+        if sha.hexdigest() != header["prefixSha256"]:
+            raise ValueError("the covered prefix of the ledger has changed")
+        found = check(header, body)
     except FileNotFoundError:
         return None
-    except (KeyError, OSError, RecursionError, ValueError) as exc:
-        _watermark_log.warning("ignoring audit watermark %s: %s", mark, exc)
+    except (OSError, *DECODE_ERRORS) as exc:
+        log.warning("ignoring %s %s: %s", what, mark, exc)
         return None
-    return obj
+    return found, LedgerDigest(sha, offset)
 
 
-def _prefix_sha(obj: dict, data: bytes):
-    """The sha256 object of the first `offset` bytes of `data`, if `obj`'s
-    `offset` ends the line of the block at its `height` and those bytes
-    still hash to its `prefixSha256`; otherwise KeyError or ValueError."""
-    offset = typed(obj["offset"], int, "offset")
-    digest = obj["prefixSha256"]
-    if not is_hex_digest(digest, 64):
-        raise ValueError("prefixSha256 must be 64 lowercase hex chars")
-    if not 0 < offset <= len(data) or data[offset - 1] != ord("\n"):
-        raise ValueError(f"offset {offset} does not end a line of the ledger")
-    if data.count(b"\n", 0, offset) != typed(obj["height"], int, "height") + 1:
-        raise ValueError(f"offset {offset} does not end the line of its height")
-    sha = hashlib.sha256(memoryview(data)[:offset])
-    if sha.hexdigest() != digest:
-        raise ValueError("the covered prefix of the ledger has changed")
-    return sha
-
-
-def _write_watermark(mark: Path, data: bytes, context: dict) -> None:
-    """Replace `mark` with the watermark of an audit that found all of
-    `data` valid and ended with `context`."""
-    body = to_canonical_bytes({"offset": len(data), "prefixSha256": hashlib.sha256(data).hexdigest(), **context})
-    _replace_unsynced(mark, body, _watermark_log, "audit watermark")
-
-
-def _replace_unsynced(target: Path, body: bytes, log: logging.Logger, what: str) -> None:
-    """Replace the cache file `target` with `body`. A unique temp file
-    (mode 0600) is renamed over it, so concurrent writers each leave a whole
-    file. It is not fsynced, since a lost or torn one only costs the full
-    path; a write that fails is logged and skipped."""
+def _write_sidecar(mark: Path, digest: LedgerDigest, fields: dict, lines: list, log: logging.Logger, what: str) -> None:
+    """Replace the sidecar `mark` with the header of the `digest.size`
+    bytes `digest` covers, holding `fields` too, and then `lines`, each
+    line ended by a newline. A unique temp file (mode 0600) is renamed over
+    it, so concurrent writers each leave a whole file. It is not fsynced,
+    since a lost or torn one only costs the full path; a write that fails
+    is logged on `log` and skipped."""
+    header = to_canonical_bytes({"offset": digest.size, "prefixSha256": digest.hexdigest(), **fields})
     try:
-        fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=target.parent)
+        fd, tmp = tempfile.mkstemp(prefix=f".{mark.name}.", suffix=".tmp", dir=mark.parent)
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(body)
-            os.replace(tmp, target)
+                fh.write(b"\n".join([header, *lines]) + b"\n")
+            os.replace(tmp, mark)
         except BaseException:
             os.unlink(tmp)
             raise
     except OSError as exc:
-        log.warning("could not write %s %s: %s", what, target, exc)
+        log.warning("could not write %s %s: %s", what, mark, exc)
 
 
 class DataDirLock:

@@ -21,12 +21,14 @@ import tempfile
 import threading
 import urllib.request
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cveledger import ledger as ledger_module
+from cveledger import storage
 from cveledger.canonical import sha256_hex
 from cveledger.chaincode import WorldState
 from cveledger.cli import main
@@ -171,6 +173,32 @@ def test_a_watermark_after_a_rewritten_prefix_is_not_trusted(tmp_path, caplog):
     assert any("prefix of the ledger has changed" in r.message for r in caplog.records)
     # an invalid audit leaves the watermark of the last valid one
     assert json.loads(watermark_path(path).read_bytes())["height"] == 5
+
+
+def test_a_resumed_audit_hashes_each_ledger_byte_once(tmp_path, monkeypatch):
+    path = tmp_path / LEDGER_FILE
+    path.write_bytes(b"".join(LINES[:6]))
+    assert audit_file(path).valid
+    path.write_bytes(b"".join(LINES))
+    hashed = []
+    sha256 = storage.hashlib.sha256
+
+    class Counting:
+        def __init__(self, data=b""):
+            hashed.append(len(memoryview(data)))
+            self._sha = sha256(data)
+
+        def update(self, data):
+            hashed.append(len(memoryview(data)))
+            self._sha.update(data)
+
+        def hexdigest(self):
+            return self._sha.hexdigest()
+
+    monkeypatch.setattr(storage, "hashlib", SimpleNamespace(sha256=Counting))
+    assert audit_file(path).valid  # resumes after block 5 and rewrites the watermark
+    assert json.loads(watermark_path(path).read_bytes())["height"] == len(LINES) - 1
+    assert sum(hashed) == path.stat().st_size
 
 
 # -- hostile or unwritable watermarks through the CLI ----------------------------------------

@@ -364,3 +364,32 @@ class TestUsageSurface:
         [line] = captured.err.splitlines()
         assert json.loads(line)["error"] == "UsageError"
         assert not (tmp_path / "missing").exists()
+
+    # every command that reads or writes a data dir, with its required arguments
+    ON_DATA_DIR = {
+        "issue": ["cna.x"],
+        "onboard": ["cna.x", "x.cert.json"],
+        "revoke": ["cna.x"],
+        "submit": ["record.json"],
+        "status": ["CVE-2025-0001", "ARCHIVED"],
+        "reject": ["CVE-2025-0001", "--reason", "dup"],
+        "dispute": ["CVE-2025-0001", "--reason", "dup"],
+        "merge": ["CVE-2025-0001", "CVE-2025-0002", "--meta", "meta.json"],
+        "split": ["CVE-2025-0001", "--candidates", "candidates.json"],
+        "partialdup": ["CVE-2025-0001", "CVE-2025-0002"],
+        "tick": [],
+        "query": [],
+        "audit": [],
+        "replay": [],
+        "serve": [],
+    }
+
+    def test_every_data_dir_command_names_the_data_dir_when_it_is_not_initialized(self, tmp_path, capsys):
+        assert sorted(self.ON_DATA_DIR) == sorted(set(SUBCOMMANDS) - {"init", "decide", "bench"})
+        missing = tmp_path / "missing"
+        line = json.dumps({"error": "LedgerError", "message": f"not an initialized data dir: {missing}"})
+        for name, argv in self.ON_DATA_DIR.items():
+            assert main(["--data-dir", str(missing), name, *argv]) == 1, name
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", line + "\n"), name
+        assert not missing.exists()

@@ -289,6 +289,8 @@ FORGED_ENTRIES = {
     "not an object": lambda line: line.split(b":", 1)[0] + b":[1,2]",
     "not JSON": lambda line: line[:-1],
     "NaN": lambda line: line.replace(b'"cvssScore":7.5', b'"cvssScore":NaN'),
+    "1e400": lambda line: line.replace(b'"cvssScore":7.5', b'"cvssScore":1e400'),
+    "Infinity": lambda line: line.replace(b'"cvssScore":7.5', b'"cvssScore":Infinity'),
     "too deep (RecursionError)": lambda line: line[:-1] + b',"zz":' + b"[" * 100000 + b"]" * 100000 + b"}",
     # lines that decode but are not their record's exact encoding
     "lone surrogate": lambda line: line.replace(b"flaw number", b"flaw \\ud800 number"),
@@ -392,6 +394,7 @@ def test_a_trusted_event_line_that_does_not_decode_is_refused_when_indexed(grown
 FORGED_EVENTS = {
     "space after a colon": lambda line: line.replace(b'"kind":', b'"kind": '),
     "lone surrogate": lambda line: line.replace(b'"payload":{', b'"payload":{"a":"\\ud800",'),
+    "NaN": lambda line: line.replace(b'"payload":{', b'"payload":{"a":NaN,'),
 }
 
 

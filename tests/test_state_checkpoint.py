@@ -223,6 +223,18 @@ WRONG_PARTS = {
     "record line": lambda cp, h, cps: cp.replace(b"flaw number 2", b"flaw number 9", 1),
     "event line": lambda cp, h, cps: cp.replace(b'"kind":"CVESubmitted"', b'"kind":"CVESubmitteD"', 1),
     "missing line": lambda cp, h, cps: cp[: cp.rindex(b"\n", 0, -1) + 1],
+    # the header damage the audit watermark's hostile cases give it
+    "offset 1e400": lambda cp, h, cps: cp.replace(b'"offset":%d,' % h["offset"], b'"offset":1e400,', 1),
+    "offset a string": lambda cp, h, cps: _with_header(cp, offset=str(h["offset"])),
+    "offset a bool": lambda cp, h, cps: _with_header(cp, offset=True),
+    "offset 0": lambda cp, h, cps: _with_header(cp, offset=0),
+    "offset mid-line": lambda cp, h, cps: _with_header(cp, offset=h["offset"] - 7),
+    "offset past EOF": lambda cp, h, cps: _with_header(cp, offset=h["offset"] + 10**9),
+    "height a float": lambda cp, h, cps: _with_header(cp, height=h["height"] + 0.0),
+    "height negative": lambda cp, h, cps: _with_header(cp, height=-1),
+    "tipHash upper-case": lambda cp, h, cps: _with_header(cp, tipHash=h["tipHash"].upper()),
+    "no tipHash": lambda cp, h, cps: cp.replace(b',"tipHash":"%s"}\n' % h["tipHash"].encode(), b"}\n", 1),
+    "header too deep": lambda cp, h, cps: b"[" * 100000 + b"]" * 100000 + cp[cp.index(b"\n"):],
 }
 
 
