@@ -19,7 +19,9 @@ submitter to the content revealed later.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 from .canonical import hash_obj, is_hex_digest, typed
@@ -126,13 +128,18 @@ class WorldState:
     lazily.
 
     `_index` is the other derived index, also outside `to_dict()`:
-    `(field, value) -> ids` for the `status`, `submitter`, `product` and id
-    `year` of every record, withheld ones included. It only narrows the
-    records a query looks at; the query's per-record predicate still
-    decides, so withheld content stays unmatchable. It is built lazily by
+    `(field, value) -> records` for the `status`, `submitter`, `product`
+    and id `year` of every record, withheld ones included, each bucket a
+    list in `(year, sequence)` order, so a query reads its rows in id order
+    with no sort and no registry lookup. It only narrows the records a
+    query looks at; the query's per-record predicate still decides, so
+    withheld content stays unmatchable. It is built lazily by
     `query_index`, so replay and ingest never pay for it, and once built
-    `store` keeps it current. `ledger.query_public` scans the lines of a
-    checkpoint-loaded state instead, where building it decodes every record.
+    `store` keeps it current by bisecting each record out of its old
+    buckets and into its new ones. The served state is never written while
+    it is served, so these edits in place race no reader.
+    `ledger.query_public` scans the lines of a checkpoint-loaded state
+    instead, where building it decodes every record.
 
     A state built by replay holds a plain `dict` registry and `list` event
     log. A state loaded from a checkpoint (`ledger.state_from_snapshot`)
@@ -157,7 +164,7 @@ class WorldState:
         self._height: int = 0
         self._event_seq: int = 0
         self._embargo_heap: list[tuple[int, int, int]] = []
-        self._index: dict[tuple[str, object], set[CveId]] | None = None
+        self._index: dict[tuple[str, object], list[CveRecord]] | None = None
         self._dry_run = False
 
     def begin_block(self, height: int, block_time: int) -> None:
@@ -194,7 +201,7 @@ class WorldState:
         """Put records into the registry under their ids and emit one event.
         Keeps each year's id counter at least at its highest stored
         sequence, pushes every stored DRAFT onto the embargo heap and, once
-        built, moves each id between the buckets of the query index."""
+        built, moves each record between the buckets of the query index."""
         self._write()
         index = self._index
         for record in records:
@@ -203,10 +210,13 @@ class WorldState:
                 old = self.cve_registry.get(cid)
                 if old is not None:
                     for key in index_keys(old):
-                        # a registry written around `store` may lack the bucket
-                        index.get(key, set()).discard(cid)
+                        # a registry written around `store` may lack the bucket or the record
+                        bucket = index.get(key, [])
+                        at = bisect_left(bucket, (cid.year, cid.sequence), key=ID_ORDER)
+                        if at < len(bucket) and bucket[at].cve_id == cid:
+                            del bucket[at]
                 for key in index_keys(record):
-                    index.setdefault(key, set()).add(cid)
+                    insort(index.setdefault(key, []), record, key=ID_ORDER)
             self.cve_registry[cid] = record
             self.id_counters[cid.year] = max(self.id_counters.get(cid.year, 0), cid.sequence)
             if record.status is CveStatus.DRAFT:
@@ -295,15 +305,15 @@ class WorldState:
         state.begin_block(height, typed(summary["clockNow"], int, "clockNow"))
         return state
 
-    def query_index(self) -> dict[tuple[str, object], set[CveId]]:
-        """The query index, built by one pass over the registry on first
-        use. Built into a local dict and assigned once, so concurrent first
-        readers each build a complete index and either may win."""
+    def query_index(self) -> dict[tuple[str, object], list[CveRecord]]:
+        """The query index, built by one pass over the registry in id order
+        on first use. Built into a local dict and assigned once, so
+        concurrent first readers each build a complete index and either may win."""
         if self._index is None:
-            index: dict[tuple[str, object], set[CveId]] = {}
-            for cid, record in self.cve_registry.items():
+            index: dict[tuple[str, object], list[CveRecord]] = {}
+            for record in sorted(self.cve_registry.values(), key=ID_ORDER):
                 for key in index_keys(record):
-                    index.setdefault(key, set()).add(cid)
+                    index.setdefault(key, []).append(record)
             self._index = index
         return self._index
 
@@ -331,6 +341,11 @@ class WorldState:
             "governanceMembers": sorted(self.governance_members),
             "idCounters": {str(y): n for y, n in sorted(self.id_counters.items())},
         }
+
+
+# a record's place in id order as a C-level sort key: `CveId`'s own
+# comparison runs Python code on every compare
+ID_ORDER = attrgetter("cve_id.year", "cve_id.sequence")
 
 
 def index_keys(record: CveRecord) -> tuple[tuple[str, object], ...]:

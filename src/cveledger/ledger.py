@@ -22,17 +22,18 @@ embedded in onboarding transactions.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable
 
 from .canonical import ZERO_HASH, is_hex_digest, kept, sha256_hex, to_canonical_bytes, to_canonical_json, typed
 from .chaincode import (
     ChainClock,
     Event,
+    ID_ORDER,
     OP_GENESIS,
     OP_ONBOARD,
     WorldState,
@@ -992,11 +993,6 @@ def record_view_bytes(record: CveRecord, clock_now: int) -> bytes:
     return kept(record, key, lambda r: to_canonical_bytes(record_view(r, clock_now)))
 
 
-# the order of CveId as a C-level sort key: the dataclass's own comparison
-# runs Python code on every compare
-_ID_ORDER = attrgetter("year", "sequence")
-
-
 def query_public(
     state: WorldState,
     *,
@@ -1015,33 +1011,35 @@ def query_public(
 
     The candidates narrow, the predicate decides: an id lookup, or else
     the smallest bucket of `state.query_index()` among the filters (the
-    whole registry when none is given), picks the candidates, and the
-    per-record checks below decide every one, withheld content included.
-    On a checkpoint-loaded state, as in a one-shot `cveledger query`,
+    year buckets in ascending year when none is given), picks the
+    candidate records, already in id order, and the per-record checks
+    below decide every one, withheld content included. On a
+    checkpoint-loaded state, as in a one-shot `cveledger query`,
     `SnapshotRegistry.scan` of all the filters picks them instead, so only
     the lines it takes are decoded and no index is built."""
     if view is None:
         view = record_view
     now = state.clock_now
     registry = state.cve_registry
+    keys = [
+        (f, v)
+        for f, v in (("status", status), ("submitter", submitter), ("product", product), ("year", year))
+        if v is not None
+    ]
     if cve_id is not None:
-        candidates = [cve_id] if cve_id in registry else []
+        candidates = [registry[cve_id]] if cve_id in registry else []
+    elif isinstance(registry, SnapshotRegistry):
+        candidates = sorted(map(registry.__getitem__, registry.scan(keys)), key=ID_ORDER)
+    elif keys:
+        index = state.query_index()
+        candidates = min((index.get(key, ()) for key in keys), key=len)
     else:
-        keys = [
-            (f, v)
-            for f, v in (("status", status), ("submitter", submitter), ("product", product), ("year", year))
-            if v is not None
-        ]
-        if keys and isinstance(registry, SnapshotRegistry):
-            candidates = sorted(registry.scan(keys), key=_ID_ORDER)
-        elif keys:
-            index = state.query_index()
-            candidates = sorted(min((index.get(key, ()) for key in keys), key=len), key=_ID_ORDER)
-        else:
-            candidates = sorted(registry, key=_ID_ORDER)
+        index = state.query_index()
+        years = sorted(key for key in index if key[0] == "year")
+        candidates = itertools.chain.from_iterable(map(index.__getitem__, years))
     out = []
-    for cid in candidates:
-        record = registry[cid]
+    for record in candidates:
+        cid = record.cve_id
         if cve_id is not None and cid != cve_id:
             continue
         if status is not None and record.status is not status:

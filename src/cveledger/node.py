@@ -129,11 +129,11 @@ def load_data_dir(
     `checkpoint`), the same way for `Node` and the CLI's readers. A crash
     tail is dropped; given the writer's `lock` (taken only once the dir is
     known to be initialized), it is also repaired in the file."""
-    config_path = initialized(data_dir, CONFIG_FILE)
+    config_path, ledger_path = initialized(data_dir, CONFIG_FILE), initialized(data_dir, LEDGER_FILE)
     if lock is not None:
         lock.acquire()
     config = read_json_file(config_path, parse=NodeConfig.from_dict)
-    chain, state, digest = load_ledger(data_dir / LEDGER_FILE, repair=lock is not None, checkpoint=checkpoint)
+    chain, state, digest = load_ledger(ledger_path, repair=lock is not None, checkpoint=checkpoint)
     if not chain:
         raise LedgerError(f"ledger file has no genesis block: {data_dir}")
     return config, chain, state, digest

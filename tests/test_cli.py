@@ -393,3 +393,12 @@ class TestUsageSurface:
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == ("", line + "\n"), name
         assert not missing.exists()
+
+    @pytest.mark.parametrize("name", ["query", "replay", "tick", "status", "audit"])
+    def test_a_data_dir_without_its_ledger_is_not_initialized(self, data_dir, capsys, name):
+        (data_dir / "ledger.jsonl").rename(data_dir / "aside.jsonl")
+        line = json.dumps({"error": "LedgerError", "message": f"not an initialized data dir: {data_dir}"})
+        assert main(["--data-dir", str(data_dir), name, *self.ON_DATA_DIR[name]]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", line + "\n")
+        assert not (data_dir / "ledger.jsonl").exists()

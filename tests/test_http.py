@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from cveledger.canonical import to_canonical_json
 from cveledger.httpapi import serve_in_thread
-from cveledger.ledger import replay
+from cveledger.ledger import record_view_bytes, replay
+from cveledger.records import CveStatus, parse_cve_id
 from cveledger.storage import write_chain_file
 
 from test_ledger import small_network
+from test_query_index import scan_query
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +48,44 @@ def service(tmp_path_factory):
     state = replay(net.chain)
     server, port = serve_in_thread(state, net.chain, ledger_path=path)
     yield f"http://127.0.0.1:{port}", path, net
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture(scope="module")
+def list_service(tmp_path_factory):
+    """A registry over two years, submitted out of id order, with a second
+    CNA, a rejection, a dispute and a withheld draft; yields the base URL
+    and a replayed state that the served one never shares."""
+    net = small_network(2, embargoed=False)
+    cert = net.issue_identity("cna.mitre")
+    net.invoke(
+        "OnboardCNA", {"cnaID": "cna.mitre", "certHash": cert.cert_hash(), "certificate": cert.to_dict()}, "gov.root"
+    )
+    for n, (cid, cna) in enumerate(
+        [("CVE-2025-0010", "cna.redhat"), ("CVE-2024-0007", "cna.mitre"), ("CVE-2025-0005", "cna.mitre"),
+         ("CVE-2024-0002", "cna.redhat"), ("CVE-2025-0003", "cna.redhat"), ("CVE-2024-0011", "cna.redhat")]
+    ):
+        record = {
+            "cveID": cid,
+            "description": f"flaw {cid}",
+            "product": "widget" if n % 2 else "gadget",
+            "version": [{"lo": [1, 0, 0], "hi": [2, 0, 0]}],
+            "severity": {"label": "HIGH", "cvssScore": 7.5},
+            "submitterCNA": cna,
+        }
+        args = {"record": record}
+        if cid == "CVE-2024-0011":
+            record["embargoUntil"], args["salt"] = 999999, "cd" * 16
+        net.invoke("SubmitCVE", args, cna)
+        net.tick(1100 + n)
+    net.invoke("RejectCVE", {"cveID": "CVE-2025-0005", "reason": "duplicate"}, "gov.root")
+    net.invoke("DisputeCVE", {"cveID": "CVE-2024-0002", "note": "contested"}, "gov.root")
+    net.tick(1200)
+    path = tmp_path_factory.mktemp("http-list") / "ledger.jsonl"
+    write_chain_file(path, net.chain)
+    server, port = serve_in_thread(replay(net.chain), net.chain, ledger_path=path)
+    yield f"http://127.0.0.1:{port}", replay(net.chain)
     server.shutdown()
     server.server_close()
 
@@ -90,6 +130,24 @@ class TestEndpoints:
         assert {v["cveID"] for v in body} == {"CVE-2025-0001", "CVE-2025-0002"}
         status, body = get(base, "/v1/cve?product=secretware")
         assert status == 200 and body == []  # withheld content never matches filters
+
+    @pytest.mark.parametrize(
+        "query, filters",
+        [
+            ("", {}),
+            ("?status=PUBLISHED", {"status": CveStatus.PUBLISHED}),
+            ("?year=2025", {"year": 2025}),
+            ("?submitter=cna.redhat", {"submitter": "cna.redhat"}),
+        ],
+    )
+    def test_list_is_the_id_ordered_scan_byte_for_byte(self, list_service, query, filters):
+        base, state = list_service
+        rows = scan_query(state, **filters)
+        assert len({row["cveID"][4:8] for row in scan_query(state)}) == 2  # both years are listed
+        records = [state.cve_registry[parse_cve_id(row["cveID"])] for row in rows]
+        expected = b"[" + b",".join(record_view_bytes(record, state.clock_now) for record in records) + b"]"
+        with urllib.request.urlopen(base + "/v1/cve" + query) as resp:
+            assert resp.read() == expected
 
     def test_bad_filters_400(self, service):
         base, _, _ = service

@@ -1,11 +1,14 @@
 """The query index against the sort-and-scan it replaced.
 
 `query_public` takes its candidates from `WorldState.query_index()` (the
-smallest bucket among the status, submitter, product and year filters) or
-from an id lookup, then runs the same per-record predicate as before. These tests
-keep the old sort-and-scan as an oracle, check the index both when `store`
-keeps it and when it is built lazily after the fact, check that refusals
-and dry runs leave it alone, and that replay never builds it.
+smallest bucket among the status, submitter, product and year filters, or
+the year buckets in ascending year when none is given) or from an id
+lookup, then runs the same per-record predicate as before. Each bucket
+holds its records in id order, so the query reads them with no sort and no
+registry lookup. These tests keep the old sort-and-scan as an oracle,
+check the index, bucket order included, both when `store` keeps it and
+when it is built lazily after the fact, check that refusals and dry runs
+leave it alone, and that replay never builds it.
 """
 
 from __future__ import annotations
@@ -58,10 +61,11 @@ def scan_query(state, *, cve_id=None, status=None, product=None, year=None, subm
 
 
 def index_snapshot(state):
-    """The index without its empty buckets (`store` may leave them behind)."""
+    """The index as the ids of each bucket in bucket order, without its
+    empty buckets (`store` may leave them behind)."""
     if state._index is None:
         return None
-    return {key: frozenset(ids) for key, ids in state._index.items() if ids}
+    return {key: tuple(record.cve_id for record in bucket) for key, bucket in state._index.items() if bucket}
 
 
 IDS = [f"CVE-{year}-{seq:04d}" for year in (2024, 2025) for seq in (1, 2, 3)]
@@ -180,12 +184,14 @@ def test_indexed_query_matches_scan(history):
     assert lazy._index is None
     check_queries([kept, lazy])  # `lazy` builds its index here
     assert index_snapshot(kept) == index_snapshot(lazy)
+    for ids in index_snapshot(kept).values():
+        assert all(a < b for a, b in zip(ids, ids[1:])), ids
 
 
 def test_withheld_product_is_indexed_but_never_matches():
     state = fresh_state()
     drive([state], [("submit", "CVE-2025-0001", ("secretware", CNA, 5))])
-    assert state.query_index()[("product", "secretware")] == {parse_cve_id("CVE-2025-0001")}
+    assert [r.cve_id for r in state.query_index()[("product", "secretware")]] == [parse_cve_id("CVE-2025-0001")]
     assert query_public(state, product="secretware") == []
     drive([state], [("sweep", 5, None)])
     assert [v["cveID"] for v in query_public(state, product="secretware")] == ["CVE-2025-0001"]
@@ -209,7 +215,8 @@ def test_year_query_reads_only_that_years_bucket():
     records = [make_record(f"CVE-2025-{seq:04d}") for seq in range(1, 10_001)]
     records += [make_record(f"CVE-2024-{seq:04d}") for seq in (3, 1, 2)]
     state.store(records, "CVESubmitted", "bulk", {})
-    assert state.query_index()[("year", 2024)] == {parse_cve_id(f"CVE-2024-000{seq}") for seq in (1, 2, 3)}
+    ids = [parse_cve_id(f"CVE-2024-000{seq}") for seq in (1, 2, 3)]
+    assert [r.cve_id for r in state.query_index()[("year", 2024)]] == ids
     assert query_public(state, year=2024) == scan_query(state, year=2024)
     assert query_public(state, year=2023) == []
     # best of five means of 100 calls; sorting the registry took about 10 ms
