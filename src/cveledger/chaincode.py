@@ -9,7 +9,7 @@ changes anything: reaching a write means every guard passed. Execution
 never reads the wall clock: `ChainClock` carries the ordering service's
 per-block timestamp.
 
-Embargoed submissions keep their description/product/version out of every
+Embargoed submissions keep their `WITHHELD_FIELDS` out of every
 public view until release. The plaintext (plus a salt) rides in the
 transaction as an envelope; op functions store it in the registry and the query
 layer withholds it, exposing only a salted commitment hash that binds the
@@ -358,16 +358,14 @@ def index_keys(record: CveRecord) -> tuple[tuple[str, object], ...]:
     )
 
 
+# the wire-form keys of a record that an embargo keeps out of public views
+WITHHELD_FIELDS = ("description", "product", "version")
+
+
 def content_commitment(record: CveRecord) -> str:
-    """Salted binding of the withheld fields of an embargoed record."""
-    return hash_obj(
-        {
-            "description": record.description,
-            "product": record.product,
-            "salt": record.embargo_salt or "",
-            "version": [r.to_dict() for r in record.version],
-        }
-    )
+    """Salted binding of the wire form of an embargoed record's withheld fields."""
+    wire = record_to_dict(record)
+    return hash_obj({**{key: wire[key] for key in WITHHELD_FIELDS}, "salt": record.embargo_salt or ""})
 
 
 def is_content_withheld(record: CveRecord, clock_now: int) -> bool:

@@ -17,7 +17,7 @@ next write or `query` decodes and replays only the blocks appended since.
 that the next audit verifies only the blocks appended since; `serve`
 writes it on each `GET /v1/audit`, and `replay` and `query` write nothing.
 `replay` and `serve` load the ledger from genesis, never from the
-checkpoint: `replay` is the oracle the checkpoint is checked against.
+checkpoint: `replay` refuses a trusted checkpoint that the ledger does not reach.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .identity import ROLE_CNA, ROLE_GOVERNANCE, ROLE_READER
 from .ledger import replay, state_hash  # noqa: F401
 from .node import LEDGER_FILE, Node, initialized, load_data_dir, read_json_file
 from .records import CveStatus, parse_cve_id
-from .storage import audit_file, read_chain  # noqa: F401
+from .storage import audit_file, check_checkpoint, read_chain  # noqa: F401
 
 DEFAULT_DATA_DIR = os.environ.get("CVELEDGER_DATA_DIR", "./cveledger-data")
 
@@ -108,7 +108,9 @@ def _init(args, data_dir) -> dict:
 
 def _replay(args, data_dir) -> dict:
     _, chain, state, _ = load_data_dir(data_dir, checkpoint=False)
-    return {"stateHash": state_hash(state), "height": chain[-1].height}
+    out = {"stateHash": state_hash(state), "height": chain[-1].height}
+    check_checkpoint(data_dir / LEDGER_FILE, chain, out["stateHash"])
+    return out
 
 
 def _query(args, data_dir) -> list:

@@ -1,9 +1,6 @@
-"""Blockchain-suitability decision procedure.
-
-Six yes/no questions evaluated in a fixed order with short-circuiting:
-storage need, multiple writers, an available online trusted third party,
-known writers, trusted writers, public verifiability. Later answers cannot
-change a verdict reached earlier.
+"""Blockchain-suitability decision procedure: the six yes/no questions of
+`QUESTIONS`, asked in order until one settles the verdict, so later
+answers cannot change a verdict reached earlier.
 """
 
 from __future__ import annotations
@@ -39,32 +36,32 @@ class DecisionInputs:
         }
 
 
+# (question, {the answer that settles it: verdict}) in the order asked; the last settles either way
+QUESTIONS = (
+    ("need_store", {False: ArchitectureVerdict.NO_BLOCKCHAIN}),
+    ("multiple_writers", {False: ArchitectureVerdict.NO_BLOCKCHAIN}),
+    ("online_ttp_available", {True: ArchitectureVerdict.NO_BLOCKCHAIN}),
+    ("writers_known", {False: ArchitectureVerdict.PERMISSIONLESS}),
+    ("writers_trusted", {True: ArchitectureVerdict.NO_BLOCKCHAIN}),
+    (
+        "public_verifiability",
+        {True: ArchitectureVerdict.PUBLIC_PERMISSIONED, False: ArchitectureVerdict.PRIVATE_PERMISSIONED},
+    ),
+)
+
+
+def _settle(inputs: DecisionInputs) -> tuple[int, ArchitectureVerdict]:
+    return next(
+        (depth, verdicts[getattr(inputs, question)])
+        for depth, (question, verdicts) in enumerate(QUESTIONS, 1)
+        if getattr(inputs, question) in verdicts
+    )
+
+
 def decide_architecture(inputs: DecisionInputs) -> ArchitectureVerdict:
-    if not inputs.need_store:
-        return ArchitectureVerdict.NO_BLOCKCHAIN
-    if not inputs.multiple_writers:
-        return ArchitectureVerdict.NO_BLOCKCHAIN
-    if inputs.online_ttp_available:
-        return ArchitectureVerdict.NO_BLOCKCHAIN
-    if not inputs.writers_known:
-        return ArchitectureVerdict.PERMISSIONLESS
-    if inputs.writers_trusted:
-        return ArchitectureVerdict.NO_BLOCKCHAIN
-    if inputs.public_verifiability:
-        return ArchitectureVerdict.PUBLIC_PERMISSIONED
-    return ArchitectureVerdict.PRIVATE_PERMISSIONED
+    return _settle(inputs)[1]
 
 
 def decision_depth(inputs: DecisionInputs) -> int:
     """1-based index of the question that settles the verdict."""
-    if not inputs.need_store:
-        return 1
-    if not inputs.multiple_writers:
-        return 2
-    if inputs.online_ttp_available:
-        return 3
-    if not inputs.writers_known:
-        return 4
-    if inputs.writers_trusted:
-        return 5
-    return 6
+    return _settle(inputs)[0]

@@ -36,6 +36,7 @@ from .chaincode import (
     ID_ORDER,
     OP_GENESIS,
     OP_ONBOARD,
+    WITHHELD_FIELDS,
     WorldState,
     content_commitment,
     execute_transaction,
@@ -962,25 +963,13 @@ def snapshot_hash(summary: dict, entries: list[bytes], events: list[bytes]) -> s
 
 
 def record_view(record: CveRecord, clock_now: int) -> dict:
-    """Public projection of one record. While content is withheld the view
-    carries a commitment hash instead of description/product/version."""
-    view = {
-        "annotations": [a.to_dict() for a in record.annotations],
-        "createdAt": record.created_at,
-        "cveID": str(record.cve_id),
-        "embargoUntil": record.embargo_until,
-        "references": list(record.references),
-        "severity": record.severity.to_dict(),
-        "status": record.status.value,
-        "submitterCNA": record.submitter,
-        "updatedAt": record.updated_at,
-    }
+    """Public projection of one record: its wire form, which while content
+    is withheld carries a commitment hash instead of `WITHHELD_FIELDS`."""
+    view = record_to_dict(record)
     if is_content_withheld(record, clock_now):
+        for key in WITHHELD_FIELDS:
+            del view[key]
         view["contentCommitment"] = record_commitment(record)
-    else:
-        view["description"] = record.description
-        view["product"] = record.product
-        view["version"] = [r.to_dict() for r in record.version]
     return view
 
 

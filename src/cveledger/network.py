@@ -1,11 +1,11 @@
 """In-process simulation of the peer network and ordering service.
 
 N organization peers endorse transactions by dry-running them against their
-local state; the orderer serializes endorsed transactions FIFO (arrival
-sequence, ties by tx id), cuts blocks, and every peer applies the same
-blocks to its own replica. A logical clock scripted by the caller drives
-block timestamps, so entire runs are a pure function of (script, config,
-key seed).
+local state; the orderer serializes endorsed transactions FIFO (in the
+order their endorsements completed), cuts blocks, and every peer applies
+the same blocks to its own replica. A logical clock scripted by the caller
+drives block timestamps, so entire runs are a pure function of (script,
+config, key seed).
 """
 
 from __future__ import annotations
@@ -263,8 +263,7 @@ class SimulatedNetwork:
         ]
         self.chain = chain
         self.clock = tip.block_time
-        self.pending: list[tuple[int, Transaction]] = []
-        self._arrival_seq = 0
+        self.pending: list[Transaction] = []
 
     # -- identities ---------------------------------------------------------
 
@@ -312,8 +311,7 @@ class SimulatedNetwork:
         endorsed = tx.with_endorsements(endorsements)
         if not endorsements or not self.policy.satisfied(orgs, len(endorsements)):
             return SubmitResult(tx=endorsed, accepted=False, refusals=refusals)
-        self.pending.append((self._arrival_seq, endorsed))
-        self._arrival_seq += 1
+        self.pending.append(endorsed)
         return SubmitResult(tx=endorsed, accepted=True, refusals=refusals)
 
     def invoke(self, op: str, args: dict, caller: str) -> SubmitResult:
@@ -353,11 +351,10 @@ class SimulatedNetwork:
         if new_now < self.clock:
             raise ClockRegression(f"tick to {new_now} behind clock {self.clock}")
         self.clock = new_now
-        queue = sorted(self.pending, key=lambda item: (item[0], item[1].tx_id))
-        self.pending = []
+        queue, self.pending = self.pending, []
         cut: list[Block] = []
         for start in range(0, len(queue), self.orderer.max_block_txs):
-            batch = [tx for _, tx in queue[start : start + self.orderer.max_block_txs]]
+            batch = queue[start : start + self.orderer.max_block_txs]
             self.chain = append_block(self.chain, batch, self.clock, self.trust)
             block = self.chain[-1]
             for peer in self.peers:

@@ -56,10 +56,12 @@ from .ledger import (
     checked_block,
     commit_block,
     parse_line,
+    replay,
     snapshot_hash,
     snapshot_lines,
     split_lines,
     state_from_snapshot,
+    state_hash,
 )
 
 logger = logging.getLogger(__name__)
@@ -241,15 +243,29 @@ def _read_checkpoint(path: Path, data: bytes) -> tuple[int, str, WorldState, Led
     found = _read_sidecar(mark, data, _checkpoint_log, "state checkpoint", _snapshot)
     if found is None:
         return None
-    (height, tip, *snapshot), digest = found
+    (height, _, tip, *snapshot), digest = found
     # trusted from here on: lines that do not decode are refused, not ignored
     return height, tip, state_from_snapshot(*snapshot, height, str(mark)), digest
 
 
+def check_checkpoint(path: Path, chain: Sequence[Block], tip_hash: str) -> None:
+    """LedgerCorrupt if `load_ledger` would trust the checkpoint of the
+    ledger at `path` but `chain`, that ledger from genesis, hashes otherwise
+    at its height (`tip_hash` at the tip; one past the tip is newer: skipped)."""
+    mark = checkpoint_path(path)
+    found = _read_sidecar(mark, Path(path).read_bytes(), _checkpoint_log, "state checkpoint", _snapshot)
+    if found and found[0][0] < len(chain):
+        (height, claimed, *_), _ = found
+        if height < len(chain) - 1:
+            tip_hash = state_hash(replay(chain[i] for i in range(height + 1)))
+        if claimed != tip_hash:
+            raise LedgerCorrupt(f"state checkpoint {mark} is not the ledger's state at height {height}; delete it")
+
+
 def _snapshot(header: dict, body: list[bytes]) -> tuple:
-    """(height, tip hash, summary, entries, events) of a checkpoint whose
-    `body` lines are the snapshot its header counts and hashes; otherwise
-    ValueError."""
+    """(height, stateHash, tip hash, summary, entries, events) of a
+    checkpoint whose `body` lines are the snapshot its header counts and
+    hashes; otherwise ValueError."""
     *snapshot, rest = body
     records = typed(header["records"], int, "records")
     if rest or not 0 <= records <= len(snapshot):
@@ -258,7 +274,7 @@ def _snapshot(header: dict, body: list[bytes]) -> tuple:
     entries, events = snapshot[:records], snapshot[records:]
     if snapshot_hash(summary, entries, events) != header["stateHash"]:
         raise ValueError("the snapshot does not hash to stateHash")
-    return header["height"], header["tipHash"], summary, entries, events
+    return header["height"], header["stateHash"], header["tipHash"], summary, entries, events
 
 
 def write_checkpoint(path: Path, digest: LedgerDigest, tip: Block, state: WorldState) -> None:

@@ -10,7 +10,9 @@ need an open plus one write to decode the drafts and the touched record
 only, whatever the size of the registry. A checkpoint whose state hash
 was recomputed over a line that does not decode, or is not the exact
 encoding of what it decodes to, is trusted, so that line is refused with
-`LedgerCorrupt`, naming the file to delete, when it is read.
+`LedgerCorrupt`, naming the file to delete, when it is read. `replay`
+refuses a trusted checkpoint whose state the ledger from genesis does not
+reach at its height, at the tip or below it, the same way.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cveledger import ledger
+from cveledger.canonical import to_canonical_json
 from cveledger.chaincode import OP_CHECK_EMBARGO, OP_SUBMIT, OP_UPDATE_STATUS, ChainClock, execute_transaction
 from cveledger.corrections import OP_DISPUTE, OP_REJECT
 from cveledger.errors import LedgerCorrupt, LedgerError
@@ -40,10 +43,10 @@ from cveledger.ledger import (
 )
 from cveledger.node import LEDGER_FILE, Node
 from cveledger.records import CveId, CveStatus
-from cveledger.storage import checkpoint_path, load_ledger, write_chain_file, write_checkpoint
+from cveledger.storage import check_checkpoint, checkpoint_path, load_ledger, write_chain_file, write_checkpoint
 
 from test_open_once import CNAS, GOV, IDS, _record, perform, seeded_network, steps
-from test_state_checkpoint import _grow, run, write_checkpoint_at
+from test_state_checkpoint import _grow, checkpoint_warnings, run, write_checkpoint_at
 
 # -- the access-order property ------------------------------------------------------------
 
@@ -421,3 +424,62 @@ def test_writing_a_checkpoint_decodes_nothing(grown, tmp_path, monkeypatch):
     write_checkpoint(copy / LEDGER_FILE, digest, chain[-1], state)
     assert mark.read_bytes() == before
     assert (state.cve_registry._lines.records, state.event_log._lines.decoded_events) == decoded
+
+
+# -- replay checks a trusted checkpoint against the ledger from genesis -------------------
+
+
+def _replayed(copy: Path) -> tuple[int, str, list[str]]:
+    """What `replay` prints when no checkpoint is checked: the height and
+    state hash of the ledger loaded from genesis."""
+    chain, state, _ = load_ledger(copy / LEDGER_FILE, checkpoint=False)
+    return 0, to_canonical_json({"height": len(chain) - 1, "stateHash": state_hash(state)}) + "\n", []
+
+
+def test_replay_refuses_a_trusted_checkpoint_with_a_forged_description(grown, tmp_path):
+    copy = tmp_path / "node"
+    shutil.copytree(grown, copy)
+    mark = checkpoint_path(copy / LEDGER_FILE)
+    # the record's exact encoding with another description, and stateHash recomputed
+    _forge(mark, _entry("CVE-2025-0002", _with_record(lambda obj: obj.update(description="forged text"))))
+    code, out, _ = run(copy, "query", "--id", "CVE-2025-0002")
+    assert code == 0 and json.loads(out)[0]["description"] == "forged text"  # the loader trusts it
+    before = mark.read_bytes()
+    result = run(copy, "replay")
+    _refused(result, "forged description")
+    assert "height 5" in result[2][0]
+    assert mark.read_bytes() == before
+    mark.unlink()
+    assert run(copy, "replay") == _replayed(copy)
+
+
+def test_replay_of_an_unforged_checkpoint_prints_what_it_prints_without_one(grown, tmp_path):
+    copy = tmp_path / "node"
+    shutil.copytree(grown, copy)
+    with checkpoint_warnings() as warnings:
+        assert run(copy, "replay") == _replayed(copy)
+    assert warnings == []
+
+
+@pytest.mark.parametrize("height", range(5))
+def test_replay_checks_a_checkpoint_below_the_tip_against_a_fold_through_its_height(grown, tmp_path, height):
+    copy = tmp_path / "node"
+    shutil.copytree(grown, copy)
+    path = copy / LEDGER_FILE
+    # a crash between an append and the checkpoint's write leaves one below the tip
+    write_checkpoint_at(path, list(load_ledger(path, checkpoint=False)[0]), height)
+    with checkpoint_warnings() as warnings:
+        assert run(copy, "replay") == _replayed(copy)
+    assert warnings == []
+    _forge(checkpoint_path(path), lambda summary, entries, events: ({**summary, "clockNow": 1}, entries, events))
+    result = run(copy, "replay")
+    _refused(result, f"height {height}")
+    assert f"height {height};" in result[2][0]
+
+
+def test_a_checkpoint_past_the_loaded_tip_is_not_compared(grown, tmp_path):
+    # a writer appended and left its checkpoint between `replay`'s load and its check
+    copy = tmp_path / "node"
+    shutil.copytree(grown, copy)
+    chain = list(load_ledger(copy / LEDGER_FILE, checkpoint=False)[0])
+    check_checkpoint(copy / LEDGER_FILE, chain[:-1], "the hash of the shorter chain")

@@ -120,8 +120,7 @@ class TestOrdering:
         net.invoke("RevokeCNA", {"cnaID": "cna.redhat"}, "gov.root")
         net.tick(1002)
         # the held-back endorsed tx commits afterwards: included but failed
-        net.pending.append((net._arrival_seq, tx.with_endorsements([endorsement])))
-        net._arrival_seq += 1
+        net.pending.append(tx.with_endorsements([endorsement]))
         net.tick(1003)
         state = net.peers[0].state
         assert all("CVE-2025-0007" != str(k) for k in state.cve_registry)
