@@ -38,7 +38,7 @@ def bench(tx_count: int, peer_count: int = 3) -> dict:
         genesis_time=0,
         orderer=OrdererConfig(max_block_txs=MAX_BLOCK_TXS, tick_seconds=1),
     )
-    cnas = [f"cna.bench{i}" for i in range(max(1, peer_count))]
+    cnas = [f"cna.bench{i}" for i in range(peer_count)]
     for cna in cnas:
         result = net.onboard(cna, net.issue_identity(cna, ROLE_CNA), net.governance_id)
         if not result.accepted:

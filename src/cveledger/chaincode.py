@@ -19,7 +19,6 @@ submitter to the content revealed later.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable
@@ -134,10 +133,8 @@ class WorldState:
     with no sort and no registry lookup. It only narrows the records a
     query looks at; the query's per-record predicate still decides, so
     withheld content stays unmatchable. It is built lazily by
-    `query_index`, so replay and ingest never pay for it, and once built
-    `store` keeps it current by bisecting each record out of its old
-    buckets and into its new ones. The served state is never written while
-    it is served, so these edits in place race no reader.
+    `query_index`, so replay and ingest never pay for it, and `store` drops
+    it, so a reader that holds an index holds one that nothing edits.
     `ledger.query_public` scans the lines of a checkpoint-loaded state
     instead, where building it decodes every record.
 
@@ -200,23 +197,12 @@ class WorldState:
     def store(self, records: list[CveRecord], kind: str, subject: str, payload: dict) -> Event:
         """Put records into the registry under their ids and emit one event.
         Keeps each year's id counter at least at its highest stored
-        sequence, pushes every stored DRAFT onto the embargo heap and, once
-        built, moves each record between the buckets of the query index."""
+        sequence, pushes every stored DRAFT onto the embargo heap and drops
+        the query index, which the next `query_index` rebuilds."""
         self._write()
-        index = self._index
+        self._index = None
         for record in records:
             cid = record.cve_id
-            if index is not None:
-                old = self.cve_registry.get(cid)
-                if old is not None:
-                    for key in index_keys(old):
-                        # a registry written around `store` may lack the bucket or the record
-                        bucket = index.get(key, [])
-                        at = bisect_left(bucket, (cid.year, cid.sequence), key=ID_ORDER)
-                        if at < len(bucket) and bucket[at].cve_id == cid:
-                            del bucket[at]
-                for key in index_keys(record):
-                    insort(index.setdefault(key, []), record, key=ID_ORDER)
             self.cve_registry[cid] = record
             self.id_counters[cid.year] = max(self.id_counters.get(cid.year, 0), cid.sequence)
             if record.status is CveStatus.DRAFT:
@@ -308,14 +294,16 @@ class WorldState:
     def query_index(self) -> dict[tuple[str, object], list[CveRecord]]:
         """The query index, built by one pass over the registry in id order
         on first use. Built into a local dict and assigned once, so
-        concurrent first readers each build a complete index and either may win."""
-        if self._index is None:
-            index: dict[tuple[str, object], list[CveRecord]] = {}
+        concurrent first readers each build a complete index and either may
+        win, and a `store` that drops it leaves each reader the one it got."""
+        index = self._index
+        if index is None:
+            index = {}
             for record in sorted(self.cve_registry.values(), key=ID_ORDER):
                 for key in index_keys(record):
                     index.setdefault(key, []).append(record)
             self._index = index
-        return self._index
+        return index
 
     def to_dict(self) -> dict:
         """Canonical snapshot (internal form: committed drafts keep their

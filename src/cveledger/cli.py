@@ -38,7 +38,7 @@ from .errors import LedgerError
 from .identity import ROLE_CNA, ROLE_GOVERNANCE, ROLE_READER
 # replay and read_chain are looked up here by the benchmark's span tracer
 from .ledger import replay, state_hash  # noqa: F401
-from .node import LEDGER_FILE, Node, initialized, load_data_dir, read_json_file
+from .node import LEDGER_FILE, Node, initialized, listen_port, load_data_dir, read_json_file
 from .records import CveStatus, parse_cve_id
 from .storage import audit_file, check_checkpoint, read_chain  # noqa: F401
 
@@ -174,7 +174,7 @@ COMMANDS = {c.name: c for c in (
     _Command("init", "create CA, genesis block, bootstrap governance", (
         _arg("--now", type=int, default=None, help="genesis block time (unix seconds)"),
         _arg("--peers", type=int, default=3),
-        _arg("--port", type=int, default=8440),
+        _arg("--port", type=listen_port, default=8440),
     ), _init),
     _Command("issue", "issue a certificate (and local key) for a participant", (
         _arg("participant"),
@@ -230,7 +230,7 @@ COMMANDS = {c.name: c for c in (
     _Command("bench", "throughput/latency benchmark", (
         _arg("--txs", type=int, required=True), _arg("--peers", type=int, default=3),
     ), lambda args, data_dir: bench(args.txs, args.peers)),
-    _Command("serve", "read-only query endpoints", (_arg("--port", type=int, default=None),), _serve),
+    _Command("serve", "read-only query endpoints", (_arg("--port", type=listen_port, default=None),), _serve),
 )}
 
 

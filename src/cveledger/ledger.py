@@ -794,10 +794,9 @@ class SnapshotRegistry(Mapping):
     A filtered query decodes only the lines `scan` finds; building the
     query index decodes every record."""
 
-    def __init__(self, lines: _CheckpointLines, own: dict | None = None, added: int = 0):
+    def __init__(self, lines: _CheckpointLines, own: dict | None = None):
         self._lines = lines
         self._own: dict[CveId, CveRecord] = {} if own is None else own
-        self._added = added  # ids in `_own` that the checkpoint holds no entry for
 
     def __getitem__(self, cid) -> CveRecord:
         record = self._own.get(cid)
@@ -811,12 +810,11 @@ class SnapshotRegistry(Mapping):
         return cid in self._own or (isinstance(cid, CveId) and str(cid) in self._lines.entries)
 
     def __setitem__(self, cid: CveId, record: CveRecord) -> None:
-        if cid not in self:
-            self._added += 1
         self._own[cid] = record
 
     def __len__(self) -> int:
-        return len(self._lines.entries) + self._added
+        entries = self._lines.entries
+        return len(entries) + sum(str(cid) not in entries for cid in self._own)
 
     def __iter__(self):
         entries = self._lines.entries
@@ -825,7 +823,7 @@ class SnapshotRegistry(Mapping):
 
     def copy(self) -> "SnapshotRegistry":
         """An equal registry sharing the checkpoint's lines and decodes."""
-        return SnapshotRegistry(self._lines, dict(self._own), self._added)
+        return SnapshotRegistry(self._lines, dict(self._own))
 
     def _held(self):
         """(id text, line) of each entry no record stored since shadows."""

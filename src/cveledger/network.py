@@ -153,6 +153,8 @@ def build_consortium(
     block that anchors them. `new_key(label)` supplies each key, labelled
     "ca", the governance id or the peer id. Returns (ca, keys, governance
     certificate, genesis), where `keys` holds the governance and peer keys."""
+    if n_peers < 1:
+        raise ValueError(f"a consortium needs at least one peer, not {n_peers}")
     ca = CertificateAuthority(new_key("ca"))
     keys = {governance_id: new_key(governance_id)}
     gov_cert = ca.issue_certificate(
@@ -183,18 +185,18 @@ class SimulatedNetwork:
         seed: bytes = b"cveledger-dev",
         genesis_time: int = 0,
         orderer: OrdererConfig | None = None,
-        governance_id: str = DEFAULT_GOVERNANCE,
     ):
+        gov_id = DEFAULT_GOVERNANCE
         ca, keys, gov_cert, genesis = build_consortium(
             lambda label: derive_keypair(seed, label),
             n_peers=n_peers,
             policy=policy or EndorsementPolicy(rule="ANY_N", n=1),
             genesis_time=genesis_time,
-            governance_id=governance_id,
+            governance_id=gov_id,
         )
         self._attach(
-            ca=ca, keys={governance_id: keys[governance_id]}, peer_keys=keys, certs={governance_id: gov_cert},
-            chain=[genesis], orderer=orderer or OrdererConfig(), governance_id=governance_id, seed=seed,
+            ca=ca, keys={gov_id: keys[gov_id]}, peer_keys=keys, certs={gov_id: gov_cert},
+            chain=[genesis], orderer=orderer or OrdererConfig(), governance_id=gov_id, seed=seed,
         )
 
     @classmethod

@@ -45,6 +45,14 @@ KEYS_DIR = "keys"
 CERTS_DIR = "certs"
 
 
+def listen_port(value: int | str) -> int:
+    """`value`, an int or its command-line text, if a server can listen on it (0-65535); else a ValueError."""
+    port = int(value)
+    if not 0 <= port <= 65535:
+        raise ValueError(f"port {port} is not in 0-65535")
+    return port
+
+
 @dataclass(frozen=True)
 class NodeConfig:
     """The `config.json` settings, each read by the node. The endorsement
@@ -54,6 +62,9 @@ class NodeConfig:
     ca_key_path: str = f"{KEYS_DIR}/ca.json"
     listen_port: int = 8440
     governance_id: str = DEFAULT_GOVERNANCE
+
+    def __post_init__(self) -> None:
+        listen_port(self.listen_port)
 
     def to_dict(self) -> dict:
         return {
@@ -177,26 +188,26 @@ class Node:
         finds them. Keys come from `seed` when one is given, else are
         random. Every key is written to `keys/` once, and `open` puts all
         but the CA's in `net.keys`, so governance and the peers can sign;
-        `issue` adds the others. The dir is written under the writer lock;
-        a writer that takes the lock before `open` makes init fail."""
+        `issue` adds the others. Nothing is written before the genesis is
+        built; the dir is written under the writer lock, and a writer that
+        takes the lock before `open` makes init fail."""
         data_dir = Path(data_dir)
-        data_dir.mkdir(parents=True, exist_ok=True)
         if (data_dir / LEDGER_FILE).exists():
             raise LedgerError(f"data dir already initialized: {data_dir}")
-        (data_dir / KEYS_DIR).mkdir(exist_ok=True)
+        genesis_time = int(time.time()) if genesis_time is None else int(genesis_time)
+        policy = policy or EndorsementPolicy(rule="ANY_N", n=1)
+        config = NodeConfig(listen_port=listen_port)
+
+        def new_key(label: str) -> KeyPair:
+            return KeyPair.generate() if seed is None else derive_keypair(seed, label)
+
+        gov_id = config.governance_id
+        ca, keys, gov_cert, genesis = build_consortium(
+            new_key, n_peers=peer_count, policy=policy, genesis_time=genesis_time, governance_id=gov_id
+        )
+        (data_dir / KEYS_DIR).mkdir(parents=True, exist_ok=True)
         (data_dir / CERTS_DIR).mkdir(exist_ok=True)
         with DataDirLock(data_dir):
-            genesis_time = int(time.time()) if genesis_time is None else int(genesis_time)
-            policy = policy or EndorsementPolicy(rule="ANY_N", n=1)
-            config = NodeConfig(listen_port=listen_port)
-
-            def new_key(label: str) -> KeyPair:
-                return KeyPair.generate() if seed is None else derive_keypair(seed, label)
-
-            gov_id = config.governance_id
-            ca, keys, gov_cert, genesis = build_consortium(
-                new_key, n_peers=peer_count, policy=policy, genesis_time=genesis_time, governance_id=gov_id
-            )
             append_block_file(data_dir / LEDGER_FILE, genesis)
             _write_json(data_dir / CONFIG_FILE, config.to_dict())
             _write_json(data_dir / CRL_FILE, RevocationList().to_dict())

@@ -402,3 +402,52 @@ class TestUsageSurface:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", line + "\n")
         assert not (data_dir / "ledger.jsonl").exists()
+
+
+class TestOutOfRangeArguments:
+    """Fewer than one peer and a port outside 0-65535 are refused with one
+    JSON line on stderr, before anything is written."""
+
+    @pytest.mark.parametrize(
+        "argv", [["init", "--peers", "0"], ["init", "--peers", "-1"], ["bench", "--txs", "5", "--peers", "0"]]
+    )
+    def test_fewer_than_one_peer_is_refused_before_a_file_is_written(self, tmp_path, capsys, argv):
+        d = tmp_path / "node"
+        assert main(["--data-dir", str(d), *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        message = f"a consortium needs at least one peer, not {argv[-1]}"
+        assert json.loads(line) == {"error": "ValueError", "message": message}
+        assert not d.exists()
+
+    @pytest.mark.parametrize("command", ["init", "serve"])
+    @pytest.mark.parametrize("port", ["70000", "65536", "-1", "http"])
+    def test_a_port_outside_0_to_65535_is_a_usage_error(self, tmp_path, capsys, command, port):
+        d = tmp_path / "node"
+        assert main(["--data-dir", str(d), command, "--port", port]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        message = f"argument --port: invalid listen_port value: {port!r}"
+        assert json.loads(line) == {"error": "UsageError", "message": message}
+        assert not d.exists()
+
+    def test_the_ends_of_the_range_are_ports(self, tmp_path, capsys):
+        assert build_parser().parse_args(["serve", "--port", "0"]).port == 0
+        d = tmp_path / "node"
+        assert main(["--data-dir", str(d), "init", "--now", "1000", "--port", "65535"]) == 0
+        assert json.loads((d / "config.json").read_text())["listenPort"] == 65535
+
+    def test_a_config_port_outside_0_to_65535_is_a_malformed_config(self, data_dir, capsys):
+        config_path = data_dir / "config.json"
+        config = json.loads(config_path.read_text())
+        config_path.write_text(json.dumps(dict(config, listenPort=70000)))
+        capsys.readouterr()
+        assert main(["--data-dir", str(data_dir), "serve"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "LedgerError", error
+        assert "config.json" in error["message"] and "70000" in error["message"], error

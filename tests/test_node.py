@@ -28,6 +28,14 @@ class TestNodeConfig:
         assert NodeConfig.from_dict(config.to_dict()) == config
         assert NodeConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
+    @pytest.mark.parametrize("port", [-1, 65536])
+    def test_a_port_outside_0_to_65535_is_refused_before_init_writes(self, tmp_path, port):
+        with pytest.raises(ValueError):
+            NodeConfig.from_dict({"listenPort": port})
+        with pytest.raises(ValueError):
+            Node.init(tmp_path / "d", genesis_time=1000, listen_port=port)
+        assert not (tmp_path / "d").exists()
+
 
 class TestNodeLifecycle:
     def test_memory_state_equals_file_replay_after_mutations(self, tmp_path):

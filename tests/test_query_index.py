@@ -6,9 +6,10 @@ the year buckets in ascending year when none is given) or from an id
 lookup, then runs the same per-record predicate as before. Each bucket
 holds its records in id order, so the query reads them with no sort and no
 registry lookup. These tests keep the old sort-and-scan as an oracle,
-check the index, bucket order included, both when `store` keeps it and
-when it is built lazily after the fact, check that refusals and dry runs
-leave it alone, and that replay never builds it.
+check the index, bucket order included, both when it was built before
+the writes, each of which drops it, and when it is built lazily after
+the fact, check that refusals and dry runs leave it alone, that a write
+leaves a reader the buckets it took, and that replay never builds it.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def scan_query(state, *, cve_id=None, status=None, product=None, year=None, subm
 
 def index_snapshot(state):
     """The index as the ids of each bucket in bucket order, without its
-    empty buckets (`store` may leave them behind)."""
+    empty buckets."""
     if state._index is None:
         return None
     return {key: tuple(record.cve_id for record in bucket) for key, bucket in state._index.items() if bucket}
@@ -178,7 +179,7 @@ def check_queries(states):
 @given(st.lists(steps, min_size=4, max_size=30))
 def test_indexed_query_matches_scan(history):
     kept, lazy = fresh_state(), fresh_state()
-    kept.query_index()  # built before the ops: `store` keeps it
+    kept.query_index()  # built before the ops: any `store` drops it
     drive([kept, lazy], history)
     assert state_hash(kept) == state_hash(lazy)
     assert lazy._index is None
@@ -195,6 +196,21 @@ def test_withheld_product_is_indexed_but_never_matches():
     assert query_public(state, product="secretware") == []
     drive([state], [("sweep", 5, None)])
     assert [v["cveID"] for v in query_public(state, product="secretware")] == ["CVE-2025-0001"]
+
+
+def test_a_write_drops_the_index_and_leaves_a_reader_the_buckets_it_took():
+    state = fresh_state()
+    drive([state], [("submit", "CVE-2025-0001", ("widget", CNA, None))])
+    held = state.query_index()
+    taken = {key: [record.cve_id for record in bucket] for key, bucket in held.items()}
+    assert taken[("product", "widget")] == [parse_cve_id("CVE-2025-0001")]
+    drive([state], [("submit", "CVE-2025-0002", ("widget", CNA, None)), ("archive", "CVE-2025-0001", None)])
+    assert {key: [record.cve_id for record in bucket] for key, bucket in held.items()} == taken
+    assert state._index is None
+    assert [v["cveID"] for v in query_public(state, product="widget")] == ["CVE-2025-0001", "CVE-2025-0002"]
+    assert [v["cveID"] for v in query_public(state, status=CveStatus.ARCHIVED)] == ["CVE-2025-0001"]
+    assert state.query_index() is not held
+    check_queries([state])
 
 
 def test_replay_and_scenarios_leave_the_index_unbuilt(monkeypatch):
