@@ -6,6 +6,8 @@ publicly auditable ledger. Smart-contract-style handlers enforce lifecycle,
 embargo, governance, and correction semantics deterministically.
 """
 
+import logging
+
 from .chaincode import ChainClock, Event, WorldState
 from .corrections import (
     Authority,
@@ -50,6 +52,11 @@ from .records import (
 from .versions import VersionRange, subtract as version_ranges_subtract
 
 __version__ = "0.1.0"
+
+# The package's warnings (crash recovery, a stale sidecar) go to the
+# application's logging setup, never to the CLI's stderr, which carries at
+# most one JSON error line.
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "ArchitectureVerdict",

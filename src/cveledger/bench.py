@@ -32,6 +32,8 @@ def _bench_record(seq: int, submitter: str) -> dict:
 def bench(tx_count: int, peer_count: int = 3) -> dict:
     """Drive tx_count submissions across a peer_count network and report
     throughput plus p50/p95 latency in milliseconds."""
+    if tx_count < 0:
+        raise ValueError(f"cannot benchmark {tx_count} transactions")
     net = SimulatedNetwork(
         n_peers=peer_count,
         seed=SEED,

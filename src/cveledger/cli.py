@@ -59,6 +59,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def positive_int(text: str) -> int:
+    """`text` as an int of at least 1; else a ValueError, which argparse reports as a usage error."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is less than 1")
+    return value
+
+
 def _arg(*flags, **kwargs) -> tuple:
     """One `add_argument` call of a subcommand."""
     return flags, kwargs
@@ -228,7 +236,7 @@ COMMANDS = {c.name: c for c in (
         _arg(f"--{flag}", action="store_true") for flag in ("store", "writers", "ttp", "known", "trusted", "public")
     ), _decide),
     _Command("bench", "throughput/latency benchmark", (
-        _arg("--txs", type=int, required=True), _arg("--peers", type=int, default=3),
+        _arg("--txs", type=positive_int, required=True), _arg("--peers", type=int, default=3),
     ), lambda args, data_dir: bench(args.txs, args.peers)),
     _Command("serve", "read-only query endpoints", (_arg("--port", type=listen_port, default=None),), _serve),
 )}

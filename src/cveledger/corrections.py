@@ -139,11 +139,23 @@ def _require_correction_rights(state: WorldState, caller: str, records: list[Cve
             raise NotSubmitter(f"{caller} did not submit {record.cve_id}")
 
 
-def _sorted_refs(*groups) -> tuple[str, ...]:
-    out: set[str] = set()
-    for g in groups:
-        out.update(g)
-    return tuple(sorted(out))
+def _amended(record: CveRecord, now: int, notes=(), refs=(), **changes) -> CveRecord:
+    """`record` as a merge, split or partial duplicate leaves it at block
+    time `now`: `notes` appended to its annotations, the ids `refs` merged
+    into its references in sorted order, and `changes` applied."""
+    return record.with_(
+        annotations=record.annotations + tuple(notes),
+        references=tuple(sorted(set(record.references).union(map(str, refs)))),
+        updated_at=now,
+        **changes,
+    )
+
+
+def _merged_into(record: CveRecord, keeper: CveId, now: int, *notes: Annotation) -> CveRecord:
+    """A merge's loser: REJECTED, its `notes` followed by a pointer to
+    `keeper`, and `keeper` among its references."""
+    pointer = Annotation("MERGE_POINTER", f"merged into {keeper}", ref=str(keeper))
+    return _amended(record, now, (*notes, pointer), [keeper], status=CveStatus.REJECTED)
 
 
 def reject_cve(
@@ -205,25 +217,8 @@ def merge_cves(
             raise IllegalTransition(f"cannot merge a {record.status.value} record ({record.cve_id})")
 
     merged_ids = [c.cve_id for c in candidates if c.cve_id != canonical]
-    changed = []
-    for cid in merged_ids:
-        record = state.cve_registry[cid]
-        changed.append(
-            record.with_(
-                status=CveStatus.REJECTED,
-                annotations=record.annotations
-                + (Annotation("MERGE_POINTER", f"merged into {canonical}", ref=str(canonical)),),
-                references=_sorted_refs(record.references, [str(canonical)]),
-                updated_at=clock.now,
-            )
-        )
-    keeper = state.cve_registry[canonical]
-    changed.append(
-        keeper.with_(
-            references=_sorted_refs(keeper.references, (str(c) for c in merged_ids)),
-            updated_at=clock.now,
-        )
-    )
+    changed = [_merged_into(state.cve_registry[cid], canonical, clock.now) for cid in merged_ids]
+    changed.append(_amended(state.cve_registry[canonical], clock.now, refs=merged_ids))
     event = state.store(
         changed,
         "CVEMerged",
@@ -254,15 +249,9 @@ def split_cve(
     def cross_refs(own: CveId) -> tuple[str, ...]:
         return tuple(sorted(str(i) for i in all_ids if i != own))
 
+    origin = Annotation("SPLIT_ORIGIN", f"split into {len(all_ids)} records")
     changed = [
-        record.with_(
-            description=prominent.descriptor,
-            severity=prominent.severity,
-            references=_sorted_refs(record.references, cross_refs(original_id)),
-            annotations=record.annotations
-            + (Annotation("SPLIT_ORIGIN", f"split into {len(all_ids)} records"),),
-            updated_at=clock.now,
-        )
+        _amended(record, clock.now, [origin], new_ids, description=prominent.descriptor, severity=prominent.severity)
     ]
     for nid, cand in zip(new_ids, rest):
         changed.append(
@@ -294,7 +283,9 @@ def resolve_partial_duplicate(
     state: WorldState, keep_id: CveId, revise_id: CveId, caller: str, clock: ChainClock
 ) -> tuple[WorldState, Event]:
     """Trim the revised record down to the versions the kept record does
-    not cover; fully contained coverage escalates to merge semantics."""
+    not cover; fully contained coverage escalates to merge semantics: the
+    revised record becomes the merge loser `merge_cves` makes, pointing
+    at the kept one."""
     keep = _require_record(state, keep_id)
     revise = _require_record(state, revise_id)
     if keep_id == revise_id:
@@ -314,26 +305,11 @@ def resolve_partial_duplicate(
     note = Annotation("PARTIAL_DUP_NOTE", f"overlaps {keep_id}", ref=str(keep_id))
     escalated = not remaining
     if escalated:
-        revised = revise.with_(
-            status=CveStatus.REJECTED,
-            annotations=revise.annotations
-            + (note, Annotation("MERGE_POINTER", f"merged into {keep_id}", ref=str(keep_id))),
-            references=_sorted_refs(revise.references, [str(keep_id)]),
-            updated_at=clock.now,
-        )
+        revised = _merged_into(revise, keep_id, clock.now, note)
     else:
-        revised = revise.with_(
-            version=tuple(remaining),
-            annotations=revise.annotations + (note,),
-            references=_sorted_refs(revise.references, [str(keep_id)]),
-            updated_at=clock.now,
-        )
-    kept = keep.with_(
-        annotations=keep.annotations
-        + (Annotation("PARTIAL_DUP_NOTE", f"overlaps {revise_id}", ref=str(revise_id)),),
-        references=_sorted_refs(keep.references, [str(revise_id)]),
-        updated_at=clock.now,
-    )
+        revised = _amended(revise, clock.now, [note], [keep_id], version=tuple(remaining))
+    kept_note = Annotation("PARTIAL_DUP_NOTE", f"overlaps {revise_id}", ref=str(revise_id))
+    kept = _amended(keep, clock.now, [kept_note], [revise_id])
     event = state.store(
         [revised, kept],
         "PartialDupResolved",

@@ -278,11 +278,9 @@ class Node:
 
     # -- identity management ----------------------------------------------------
 
-    def issue(self, participant: str, role: str, issued_at: int | None = None) -> Certificate:
+    def issue(self, participant: str, role: str) -> Certificate:
         key = KeyPair.generate()
-        cert = self.net.ca.issue_certificate(
-            participant, role, key.public_hex, issued_at=self.net.clock if issued_at is None else issued_at
-        )
+        cert = self.net.ca.issue_certificate(participant, role, key.public_hex, issued_at=self.net.clock)
         self.net.keys[participant] = key
         self.net.certs[participant] = cert
         _write_json(self.data_dir / KEYS_DIR / f"{participant}.json", _key_file(key))

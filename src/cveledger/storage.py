@@ -12,11 +12,15 @@ reader treat the file differently on purpose:
   Lines that a valid state checkpoint covers are neither decoded nor
   replayed, while its digest proves they are byte for byte the ones the
   writer left, and the checkpoint's own lines are decoded only as their
-  records and events are read. At node start a trailing line without its
-  newline is crash residue from a killed append: it is dropped with a
-  warning and the file repaired.
-* the library reader (`read_chain`) only decodes, with the same crash
-  residue rule.
+  records and events are read. A trailing line without its newline is
+  read by what it decodes to. If it does not decode it is crash residue
+  from a killed append, dropped with a warning. If it does, it is a line
+  that lost its newline: it must pass `checked_block` like any other and
+  is kept with a warning. A writer (`Node.open`) repairs the file to
+  match, cutting the residue off or restoring the newline; `query`,
+  `replay` and `serve` read it the same way and leave the file as it is.
+* the library reader (`read_chain`) only decodes; with `recover` it
+  applies the same tail rule, short of `checked_block`.
 * the audit (`audit_file`) is strict. Every line must pass every check,
   signatures included; a partial tail counts as corruption, otherwise a
   mutation that eats the final newline could masquerade as a crash. Lines
@@ -65,13 +69,9 @@ from .ledger import (
 )
 
 logger = logging.getLogger(__name__)
-# A stale or unwritable watermark or checkpoint costs only the full path.
-# Their warnings go to the application's logging setup, never to the CLI's
-# stderr, which carries at most one JSON error line.
+# a stale or unwritable watermark or checkpoint costs only the full path
 _watermark_log = logging.getLogger(f"{__name__}.watermark")
-_watermark_log.addHandler(logging.NullHandler())
 _checkpoint_log = logging.getLogger(f"{__name__}.checkpoint")
-_checkpoint_log.addHandler(logging.NullHandler())
 
 
 def append_block_file(path: Path, block: Block) -> bytes:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from cveledger.bench import bench
 
 TIMING_FIELDS = {"tps", "p50LatencyMs", "p95LatencyMs", "maxLatencyMs", "wallSeconds"}
@@ -26,3 +28,7 @@ class TestBench:
         assert result["peers"] == 3
         assert result["blocks"] >= 2
         assert result["p95LatencyMs"] >= result["p50LatencyMs"] >= 0
+
+    def test_a_negative_count_is_refused(self):
+        with pytest.raises(ValueError, match="-3"):
+            bench(-3, 1)

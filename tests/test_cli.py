@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cveledger
 from cveledger.cli import build_parser, main
+
+SRC = Path(cveledger.__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv) -> tuple[int, object, str]:
@@ -451,3 +457,43 @@ class TestOutOfRangeArguments:
         error = json.loads(line)
         assert error["error"] == "LedgerError", error
         assert "config.json" in error["message"] and "70000" in error["message"], error
+
+    @pytest.mark.parametrize("txs", ["0", "-3"])
+    def test_fewer_than_one_transaction_is_a_usage_error(self, capsys, txs):
+        assert main(["bench", "--txs", txs, "--peers", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        message = f"argument --txs: invalid positive_int value: {txs!r}"
+        assert json.loads(line) == {"error": "UsageError", "message": message}
+
+
+class TestRecoveryWarnings:
+    """A crash tail's warnings go to `logging`, never to the CLI's stderr.
+    The commands run as subprocesses: in-process, pytest's capture handler
+    on the root logger would swallow what Python's last-resort handler
+    prints when no handler is set."""
+
+    @staticmethod
+    def cveledger(data_dir, *argv) -> subprocess.CompletedProcess:
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        argv = [sys.executable, "-m", "cveledger.cli", "--data-dir", str(data_dir), *argv]
+        return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda data: data + b'{"height":9,"prev',  # crash residue of a killed append
+            lambda data: data[:-1],  # the final newline lost
+        ],
+        ids=["crash-residue", "lost-newline"],
+    )
+    def test_query_and_tick_on_a_crash_tail_print_nothing_on_stderr(self, data_dir, capsys, damage):
+        assert main(["--data-dir", str(data_dir), "tick"]) == 0
+        ledger = data_dir / "ledger.jsonl"
+        ledger.write_bytes(damage(ledger.read_bytes()))
+        for argv in (["query", "--id", "CVE-2025-0001"], ["tick"]):
+            run = self.cveledger(data_dir, *argv)
+            assert (run.returncode, run.stderr) == (0, ""), (argv, run.stderr)
+            json.loads(run.stdout)
+        assert ledger.read_bytes().endswith(b"\n")
