@@ -45,10 +45,18 @@ def hash_obj(obj: Any) -> str:
     return sha256_hex(to_canonical_bytes(obj))
 
 
+def kept_slots(*keys: str) -> type:
+    """A base class declaring `keys` as slots, for a `slots=True` frozen
+    dataclass that keeps them. Its equality, hash, ordering, `replace`,
+    `copy` and pickling see only its fields, so no kept value enters them."""
+    return type("Kept", (), {"__slots__": keys})
+
+
 def kept(obj, key: str, compute: Callable):
     """`compute(obj)`, computed on the first call and kept as the attribute
-    `key` (a name no field has) of the frozen `obj`, set the way a frozen
-    dataclass's own `__init__` sets its fields. Records, events,
+    `key` of the frozen `obj`, set the way a frozen dataclass's own
+    `__init__` sets its fields. `key` must be a slot declared by `obj`'s
+    `kept_slots` base: the object has no `__dict__`. Records, events,
     transactions and key pairs are frozen, every change builds a new object,
     and nothing mutates a transaction's payload dict, so a kept value never
     goes stale. Handler threads may race on a first call: each computes the

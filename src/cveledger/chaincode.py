@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable
 
-from .canonical import hash_obj, is_hex_digest, typed
+from .canonical import hash_obj, is_hex_digest, kept_slots, typed
 from .errors import (
     AlreadyAuthorized,
     BadCertificate,
@@ -76,8 +76,8 @@ class ChainClock:
     now: int
 
 
-@dataclass(frozen=True)
-class Event:
+@dataclass(frozen=True, slots=True)
+class Event(kept_slots("_canonical")):
     kind: str
     subject: str
     block_height: int
@@ -542,7 +542,7 @@ def _run_genesis(state: WorldState, values: tuple, caller: str, clock: ChainCloc
 
 
 # op name -> (decode(args) -> typed values, run(state, values, caller, clock) -> events).
-# `execute_transaction` turns anything but a LedgerError raised by decode into
+# `decode_payload` turns anything but a LedgerError raised by decode into
 # BAD_ARGS; run calls the op function. corrections.py adds the correction ops.
 OPS: dict[str, tuple[Callable, Callable]] = {
     OP_GENESIS: (_decode_genesis, _run_genesis),
@@ -569,15 +569,11 @@ OPS: dict[str, tuple[Callable, Callable]] = {
 }
 
 
-def execute_transaction(
-    state: WorldState, payload: dict, clock: ChainClock, *, check_only: bool = False
-) -> list[Event]:
-    """Dispatch one transaction payload {op, args, caller, clockNow}.
-
-    Raises a LedgerError (state untouched) on any guard failure. With
-    `check_only=True` the op runs in dry-run mode: its first write ends
-    the run, and the result is [] because every guard passed.
-    """
+def decode_payload(payload: dict) -> tuple[Callable, object]:
+    """`(run, values)`: the op function of the payload's op and its args
+    decoded to typed, immutable values, which `execute_transaction` runs.
+    An unknown op raises UnknownOperation; args that do not decode raise
+    the decoder's LedgerError, or BAD_ARGS for anything else."""
     op = payload.get("op")
     entry = OPS.get(op)
     if entry is None:
@@ -587,11 +583,24 @@ def execute_transaction(
         raise _bad_args("args must be an object")
     decode, run = entry
     try:
-        values = decode(args)
+        return run, decode(args)
     except LedgerError:
         raise
     except Exception as exc:
         raise _bad_args(f"bad {op} args: {exc}")
+
+
+def execute_transaction(
+    state: WorldState, payload: dict, clock: ChainClock, *, check_only: bool = False, decoded: tuple | None = None
+) -> list[Event]:
+    """Dispatch one transaction payload {op, args, caller, clockNow}, from
+    `decoded`, its `decode_payload`, when one is given.
+
+    Raises a LedgerError (state untouched) on any guard failure. With
+    `check_only=True` the op runs in dry-run mode: its first write ends
+    the run, and the result is [] because every guard passed.
+    """
+    run, values = decode_payload(payload) if decoded is None else decoded
     state._dry_run = check_only
     try:
         return run(state, values, payload.get("caller", ""), clock)

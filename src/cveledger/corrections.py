@@ -8,6 +8,7 @@ mention order), so the minimum is unique and permutation-invariant.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -94,7 +95,7 @@ class SplitCandidate:
         )
 
 
-def select_canonical(candidates: list[MergeCandidate]) -> CveId:
+def select_canonical(candidates: Sequence[MergeCandidate]) -> CveId:
     """Pick the id that survives, in order: most referenced, most
     authoritative source, earliest publicized, smallest numeric portion
     (same sequence across years: smaller year)."""
@@ -109,7 +110,7 @@ def select_canonical(candidates: list[MergeCandidate]) -> CveId:
     ).cve_id
 
 
-def select_prominent(candidates: list[SplitCandidate]) -> SplitCandidate:
+def select_prominent(candidates: Sequence[SplitCandidate]) -> SplitCandidate:
     """Pick the vulnerability that keeps the original id, in order: most
     commonly associated, highest CVSS score, broadest affected versions,
     earliest mention."""
@@ -204,7 +205,7 @@ def dispute_cve(
 
 
 def merge_cves(
-    state: WorldState, candidates: list[MergeCandidate], caller: str, clock: ChainClock
+    state: WorldState, candidates: Sequence[MergeCandidate], caller: str, clock: ChainClock
 ) -> tuple[WorldState, list[Event]]:
     """Consolidate duplicate ids onto the canonical one. Losers turn
     REJECTED with a pointer to the keeper; the keeper collects references
@@ -229,7 +230,7 @@ def merge_cves(
 
 
 def split_cve(
-    state: WorldState, original_id: CveId, candidates: list[SplitCandidate], caller: str, clock: ChainClock
+    state: WorldState, original_id: CveId, candidates: Sequence[SplitCandidate], caller: str, clock: ChainClock
 ) -> tuple[WorldState, list[Event]]:
     """One id per vulnerability: the most prominent keeps the original id,
     the rest get fresh ids from the original's year, and every resulting
@@ -319,6 +320,7 @@ def resolve_partial_duplicate(
     return state, event
 
 
+# decoders return tuples, not lists: every run of one transaction shares its decode
 OPS.update(
     {
         OP_REJECT: (
@@ -334,13 +336,13 @@ OPS.update(
             lambda state, v, caller, clock: [dispute_cve(state, *v, caller, clock)[1]],
         ),
         OP_MERGE: (
-            lambda args: [MergeCandidate.from_dict(c) for c in typed(args["candidates"], list, "candidates")],
+            lambda args: tuple(map(MergeCandidate.from_dict, typed(args["candidates"], list, "candidates"))),
             lambda state, candidates, caller, clock: merge_cves(state, candidates, caller, clock)[1],
         ),
         OP_SPLIT: (
             lambda args: (
                 parse_cve_id(args["cveID"]),
-                [SplitCandidate.from_dict(c) for c in typed(args["candidates"], list, "candidates")],
+                tuple(map(SplitCandidate.from_dict, typed(args["candidates"], list, "candidates"))),
             ),
             lambda state, v, caller, clock: split_cve(state, *v, caller, clock)[1],
         ),

@@ -25,7 +25,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .canonical import is_hex_digest, kept, sha256_hex, typed
+from .canonical import is_hex_digest, kept, kept_slots, sha256_hex, typed
 from .canonical import to_canonical_json  # noqa: F401  (perfbench patches it here)
 from .errors import DuplicateSubject, InvalidParticipantId, MalformedKey
 
@@ -50,8 +50,8 @@ def require_participant_id(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class KeyPair:
+@dataclass(frozen=True, slots=True)
+class KeyPair(kept_slots("_private_key")):
     """Ed25519 keypair; the seed is the 32-byte private key, hex encoded."""
 
     seed_hex: str

@@ -29,7 +29,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Callable
 
-from .canonical import ZERO_HASH, is_hex_digest, kept, sha256_hex, to_canonical_bytes, to_canonical_json, typed
+from .canonical import ZERO_HASH, is_hex_digest, kept, kept_slots, sha256_hex, to_canonical_bytes, to_canonical_json, typed
 from .chaincode import (
     ChainClock,
     Event,
@@ -39,6 +39,7 @@ from .chaincode import (
     WITHHELD_FIELDS,
     WorldState,
     content_commitment,
+    decode_payload,
     execute_transaction,
     is_content_withheld,
 )
@@ -90,8 +91,8 @@ class EndorsementPolicy:
         )
 
 
-@dataclass(frozen=True)
-class Transaction:
+@dataclass(frozen=True, slots=True)
+class Transaction(kept_slots("_payload_bytes", "_decoded")):
     payload: dict  # {op, args, caller, clockNow} — canonical JSON is the signed bytes
     tx_id: str
     caller_signature: str  # hex, empty only on the genesis transaction
@@ -120,14 +121,26 @@ class Transaction:
         transaction that encodes its own payload."""
         return kept(self, "_payload_bytes", lambda tx: to_canonical_bytes(tx.payload))
 
+    def decoded(self) -> tuple:
+        """`decode_payload(self.payload)`, kept, so the endorsers' dry runs and
+        every peer's `apply_block` share one decode. `SimulatedNetwork.tick`
+        drops it once every peer has committed the block; `apply_block`
+        decodes a transaction read from a ledger inline and keeps nothing."""
+        return kept(self, "_decoded", lambda tx: decode_payload(tx.payload))
+
+    def drop_decoded(self) -> None:
+        object.__setattr__(self, "_decoded", None)
+
     def with_endorsements(self, endorsements) -> "Transaction":
+        """This transaction with `endorsements`; its payload bytes and decode carry over."""
         tx = Transaction(
             payload=self.payload,
             tx_id=self.tx_id,
             caller_signature=self.caller_signature,
             endorsements=tuple((str(p), str(s)) for p, s in endorsements),
         )
-        kept(tx, "_payload_bytes", lambda _: self.payload_bytes())
+        for key in ("_payload_bytes", "_decoded"):
+            object.__setattr__(tx, key, getattr(self, key, None))
         return tx
 
     def to_dict(self) -> dict:
@@ -636,7 +649,7 @@ def apply_block(state: WorldState, block: Block) -> list:
     events = []
     for tx_index, tx in enumerate(block.txs):
         try:
-            events.extend(execute_transaction(state, tx.payload, clock))
+            events.extend(execute_transaction(state, tx.payload, clock, decoded=getattr(tx, "_decoded", None)))
         except LedgerCorrupt:
             raise  # a checkpoint line that does not decode: no verdict on the transaction
         except LedgerError as exc:

@@ -27,7 +27,7 @@ from .chaincode import (
     execute_transaction,
 )
 from .corrections import OP_DISPUTE, OP_MERGE, OP_PARTIAL_DUP, OP_REJECT, OP_SPLIT
-from .errors import BadCertificate, ClockRegression, LedgerError, Revoked, UnauthorizedCaller
+from .errors import BadCertificate, ClockRegression, ClockViolation, LedgerError, MalformedKey, Revoked, UnauthorizedCaller
 from .identity import (
     Certificate,
     CertificateAuthority,
@@ -35,6 +35,7 @@ from .identity import (
     ROLE_CNA,
     ROLE_GOVERNANCE,
     ROLE_READER,
+    _u64,
     derive_keypair,
     sign_payload,
     verify_certificate,  # noqa: F401  (the benchmark's span tracer patches it here)
@@ -114,13 +115,13 @@ class Peer:
             return Refusal(self.peer_id, BadCertificate("payload signature invalid"))
         try:
             execute_transaction(
-                self.state, payload, ChainClock(payload["clockNow"]), check_only=True
+                self.state, payload, ChainClock(payload["clockNow"]), check_only=True, decoded=tx.decoded()
             )
         except LedgerError as exc:
             return Refusal(self.peer_id, exc.with_traceback(None))  # keeps no frame of the dry run
         serials = [cert.serial]
-        if payload["op"] == OP_ONBOARD:  # the dry run has decoded its certificate
-            serials.append(Certificate.from_dict(payload["args"]["certificate"]).serial)
+        if payload["op"] == OP_ONBOARD:  # its decode is (cnaID, certHash, certificate)
+            serials.append(tx.decoded()[1][2].serial)
         for serial in serials:
             if serial in crl.revoked_serials:
                 return Refusal(self.peer_id, Revoked(f"certificate serial {serial} revoked"))
@@ -341,18 +342,26 @@ class SimulatedNetwork:
             args["salt"] = salt
         return self.invoke(OP_SUBMIT, args, record.get("submitterCNA", caller))
 
-    def advance_clock(self, now: int) -> None:
+    def _next_clock(self, now: int) -> int:
+        """`now`, once it is neither behind the clock nor past what a
+        certificate issued at it can carry (a u64)."""
+        now = int(now)
         if now < self.clock:
             raise ClockRegression(f"clock to {now} behind {self.clock}")
-        self.clock = int(now)
+        try:
+            _u64(now)
+        except MalformedKey:
+            raise ClockViolation(f"clock {now} is not an integer in [0, 2**64)") from None
+        return now
+
+    def advance_clock(self, now: int) -> None:
+        self.clock = self._next_clock(now)
 
     def tick(self, now: int | None = None) -> list[Block]:
         """Advance the logical clock and cut pending transactions into
-        blocks (max_block_txs per block); all peers commit each block."""
-        new_now = self.clock + self.orderer.tick_seconds if now is None else int(now)
-        if new_now < self.clock:
-            raise ClockRegression(f"tick to {new_now} behind clock {self.clock}")
-        self.clock = new_now
+        blocks (max_block_txs per block); all peers commit each block, and
+        then its transactions drop the decode they kept for the peers."""
+        self.clock = self._next_clock(self.clock + self.orderer.tick_seconds if now is None else now)
         queue, self.pending = self.pending, []
         cut: list[Block] = []
         for start in range(0, len(queue), self.orderer.max_block_txs):
@@ -361,6 +370,8 @@ class SimulatedNetwork:
             block = self.chain[-1]
             for peer in self.peers:
                 peer.commit_block(block)
+            for tx in block.txs:
+                tx.drop_decoded()
             cut.append(block)
         return cut
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
 
-from .canonical import typed
+from .canonical import kept, kept_slots, typed
 from .errors import MalformedId, YearOutOfRange
 from .identity import is_valid_participant_id
 from .versions import VersionRange, parse_range
@@ -25,13 +25,14 @@ DISPUTED_PREFIX = "DISPUTED: "
 _CVE_RE = re.compile(r"CVE-(\d{4})-(\d{4,})")
 
 
-@dataclass(frozen=True, order=True)
-class CveId:
+@dataclass(frozen=True, order=True, slots=True)
+class CveId(kept_slots("_text")):
     year: int
     sequence: int
 
     def __str__(self) -> str:
-        return f"CVE-{self.year}-{self.sequence:04d}"
+        """The canonical `CVE-YYYY-NNNN` spelling, built once per id object."""
+        return kept(self, "_text", lambda c: f"CVE-{c.year}-{c.sequence:04d}")
 
     @property
     def numeric_portion(self) -> int:
@@ -106,7 +107,7 @@ def band_for_score(score: float) -> SeverityLabel:
     return SeverityLabel.CRITICAL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Severity:
     label: SeverityLabel
     cvss_score: float | None = None
@@ -135,7 +136,7 @@ ANNOTATION_TAGS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Annotation:
     tag: str
     text: str
@@ -150,8 +151,8 @@ class Annotation:
         return cls(tag=obj["tag"], text=typed(obj["text"], str, "text"), ref=ref)
 
 
-@dataclass(frozen=True)
-class CveRecord:
+@dataclass(frozen=True, slots=True)
+class CveRecord(kept_slots("_commitment", "_registry_entry", "_view_withheld", "_view_public")):
     cve_id: CveId
     description: str
     product: str

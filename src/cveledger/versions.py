@@ -50,7 +50,7 @@ def _dec(i: int) -> Triple:
     return (major, minor, patch)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class VersionRange:
     """Inclusive on both ends; lo <= hi under lexicographic triple order."""
 

@@ -497,3 +497,24 @@ class TestRecoveryWarnings:
             assert (run.returncode, run.stderr) == (0, ""), (argv, run.stderr)
             json.loads(run.stdout)
         assert ledger.read_bytes().endswith(b"\n")
+
+
+class TestClockRange:
+    def test_a_tick_past_2_64_is_refused_and_issue_still_works(self, tmp_path, data_dir, capsys):
+        ledger = data_dir / "ledger.jsonl"
+        before = ledger.read_bytes()
+        capsys.readouterr()
+        assert main(["--data-dir", str(data_dir), "tick", "--now", "18446744073709551616"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert json.loads(line) == {
+            "error": "ClockViolation",
+            "message": "clock 18446744073709551616 is not an integer in [0, 2**64)",
+        }
+        assert ledger.read_bytes() == before
+        certfile = tmp_path / "late.cert.json"
+        code, _, _ = run_cli(
+            capsys, "--data-dir", str(data_dir), "issue", "cna.late", "--role", "CNA", "--out", str(certfile)
+        )
+        assert code == 0 and json.loads(certfile.read_text())["subject"] == "cna.late"

@@ -247,3 +247,24 @@ class TestScenarios:
         # everything scheduled before tick 5 went through
         ok_count = sum(1 for a in trace["actions"] if a["ok"])
         assert ok_count == len(trace["actions"])  # all scheduled before revocation bites
+
+
+class TestClockRange:
+    """The clock stays a time a certificate can be issued at: a u64."""
+
+    def test_a_clock_past_2_64_is_refused_before_anything_is_queued_or_committed(self):
+        from cveledger.errors import ClockViolation
+
+        net = onboarded_network()
+        assert net.invoke("SubmitCVE", record_args(1), "cna.redhat").accepted
+        height, pending = len(net.chain), list(net.pending)
+        for move in (lambda: net.tick(2**64), lambda: net.advance_clock(2**64), lambda: net.tick(10**23)):
+            with pytest.raises(ClockViolation):
+                move()
+            assert (net.clock, len(net.chain), net.pending) == (1001, height, pending)
+        net.advance_clock(2**64 - 1)  # the last time a certificate can carry
+        with pytest.raises(ClockViolation):
+            net.tick()  # one tick_seconds step past it
+        assert (net.clock, len(net.chain), net.pending) == (2**64 - 1, height, pending)
+        assert len(net.tick(2**64 - 1)) == 1
+        assert net.issue_identity("cna.late").issued_at == 2**64 - 1
