@@ -143,6 +143,7 @@ def _serve(args, data_dir) -> None:
     port = args.port if args.port is not None else config.listen_port
     server = serve_queries(state, chain, port=port, ledger_path=data_dir / LEDGER_FILE)
     _emit({"serving": f"http://127.0.0.1:{server.server_address[1]}", "height": chain[-1].height})
+    sys.stdout.flush()  # a pipe or file is block-buffered: whoever started it reads the URL now
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -181,7 +182,7 @@ def _merge(args, node) -> dict:
 COMMANDS = {c.name: c for c in (
     _Command("init", "create CA, genesis block, bootstrap governance", (
         _arg("--now", type=int, default=None, help="genesis block time (unix seconds)"),
-        _arg("--peers", type=int, default=3),
+        _arg("--peers", type=positive_int, default=3),
         _arg("--port", type=listen_port, default=8440),
     ), _init),
     _Command("issue", "issue a certificate (and local key) for a participant", (
@@ -236,7 +237,7 @@ COMMANDS = {c.name: c for c in (
         _arg(f"--{flag}", action="store_true") for flag in ("store", "writers", "ttp", "known", "trusted", "public")
     ), _decide),
     _Command("bench", "throughput/latency benchmark", (
-        _arg("--txs", type=positive_int, required=True), _arg("--peers", type=int, default=3),
+        _arg("--txs", type=positive_int, required=True), _arg("--peers", type=positive_int, default=3),
     ), lambda args, data_dir: bench(args.txs, args.peers)),
     _Command("serve", "read-only query endpoints", (_arg("--port", type=listen_port, default=None),), _serve),
 )}

@@ -7,12 +7,16 @@ records are served with their content fields replaced by the commitment
 hash. Record views are served from the canonical bytes each record keeps
 (`ledger.record_view_bytes`); a list body is its rows joined, byte for
 byte the canonical encoding of the views as dicts.
+
+Each connection is answered at once on a kept handler thread
+(`_KeptThreadServer`), so a request seldom pays for a thread start.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
@@ -181,17 +185,77 @@ class _Handler(BaseHTTPRequestHandler):
     do_OPTIONS = do_POST
 
 
+# handler threads kept waiting for a connection; one that finishes while
+# this many wait exits, so a burst of connections leaves no more behind
+IDLE_THREADS = 4
+HANDLER_THREAD = "cveledger-query-handler"
+
+
+class _KeptThreadServer(HTTPServer):
+    """An `HTTPServer` that answers each connection on a thread at once, so
+    no connection waits behind another, and keeps a thread that is done for
+    the next connection. A connection goes to an idle thread if there is
+    one, else to a new daemon thread named `HANDLER_THREAD`. `server_close`
+    ends the idle threads; a thread still answering ends with its
+    connection."""
+
+    def __init__(self, *args, **kwargs):
+        self._lock = threading.Lock()
+        self._idle: list[tuple[queue.SimpleQueue, threading.Thread]] = []  # inbox, thread
+        self._closed = False
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address):
+        with self._lock:
+            idle = self._idle.pop() if self._idle else None
+        if idle is None:
+            threading.Thread(
+                name=HANDLER_THREAD, target=self._answer, args=(request, client_address), daemon=True
+            ).start()
+        else:
+            idle[0].put((request, client_address))
+
+    def _answer(self, request, client_address) -> None:
+        """Answer connections, each with `ThreadingMixIn`'s cleanup, until
+        `IDLE_THREADS` others are idle or the server closes."""
+        inbox: queue.SimpleQueue = queue.SimpleQueue()
+        while True:
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+            with self._lock:
+                if self._closed or len(self._idle) >= IDLE_THREADS:
+                    return
+                self._idle.append((inbox, threading.current_thread()))
+            job = inbox.get()
+            if job is None:
+                return
+            request, client_address = job
+
+    def server_close(self):
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for inbox, thread in idle:
+            inbox.put(None)
+            thread.join()
+
+
 def serve_queries(
     state: WorldState, chain: list[Block], *, ledger_path: Path, port: int = 8440
-) -> ThreadingHTTPServer:
+) -> HTTPServer:
     """Start the read-only query service; caller owns the returned server
     (serve_forever / shutdown)."""
-    server = ThreadingHTTPServer(("127.0.0.1", port), _Handler)
+    server = _KeptThreadServer(("127.0.0.1", port), _Handler)
     server.service = QueryService(state, chain, ledger_path)  # type: ignore[attr-defined]
     return server
 
 
-def serve_in_thread(state, chain, *, ledger_path, port=0) -> tuple[ThreadingHTTPServer, int]:
+def serve_in_thread(state, chain, *, ledger_path, port=0) -> tuple[HTTPServer, int]:
     server = serve_queries(state, chain, ledger_path=ledger_path, port=port)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

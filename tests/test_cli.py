@@ -419,12 +419,12 @@ class TestOutOfRangeArguments:
     )
     def test_fewer_than_one_peer_is_refused_before_a_file_is_written(self, tmp_path, capsys, argv):
         d = tmp_path / "node"
-        assert main(["--data-dir", str(d), *argv]) == 1
+        assert main(["--data-dir", str(d), *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         [line] = captured.err.splitlines()
-        message = f"a consortium needs at least one peer, not {argv[-1]}"
-        assert json.loads(line) == {"error": "ValueError", "message": message}
+        message = f"argument --peers: invalid positive_int value: {argv[-1]!r}"
+        assert json.loads(line) == {"error": "UsageError", "message": message}
         assert not d.exists()
 
     @pytest.mark.parametrize("command", ["init", "serve"])
