@@ -21,8 +21,6 @@ from .identity import (
     Certificate,
     CertificateAuthority,
     KeyPair,
-    RevocationList,
-    revoke_certificate,
     sign_payload,
     verify_certificate,
     verify_payload,
@@ -76,7 +74,6 @@ __all__ = [
     "MergeCandidate",
     "OrdererConfig",
     "Peer",
-    "RevocationList",
     "Severity",
     "SeverityLabel",
     "SimulatedNetwork",
@@ -89,7 +86,6 @@ __all__ = [
     "parse_cve_id",
     "query_public",
     "replay",
-    "revoke_certificate",
     "run_scenario",
     "select_canonical",
     "select_prominent",

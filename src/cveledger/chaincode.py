@@ -188,6 +188,17 @@ class WorldState:
             {"height": height, "txIndex": tx_index, "txId": tx_id, "code": code}
         )
 
+    def revoked(self, cert: Certificate) -> bool:
+        """Whether the chain has revoked `cert`: the state holds a CNA
+        certificate of its subject with a higher serial, which only an
+        onboarding after a revocation puts there, or this serial while the
+        subject is no longer authorized, which a committed `RevokeCNA`
+        leaves. No other certificate is ever revoked."""
+        held = self.certificates.get(cert.subject)
+        if held is None or held.role != ROLE_CNA:
+            return False
+        return cert.serial < held.serial or (cert.serial == held.serial and cert.subject not in self.authorized_cnas)
+
     # -- write methods: the first one a dry run reaches ends it ---------------
 
     def _write(self) -> None:

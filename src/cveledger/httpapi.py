@@ -76,8 +76,14 @@ class QueryService:
         return audit_file(self.ledger_path).to_dict()
 
 
+# seconds a connection may stay silent, mid-request included, before its
+# handler closes it, so a client that sends nothing holds no thread for long
+HANDLER_TIMEOUT_S = 30
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "cveledger-query/0.1"
+    timeout = HANDLER_TIMEOUT_S
 
     def log_message(self, fmt, *args):  # quiet by default
         pass

@@ -1,8 +1,9 @@
-"""Participant credentials: issuance, verification, revocation.
+"""Participant credentials: issuance and verification.
 
 A deterministic signed-certificate scheme stands in for a full PKI stack.
-The network CA binds participant id -> verification key -> role; revocation
-is a monotonically versioned set of serials. Ed25519 signatures (RFC 8032)
+The network CA binds participant id -> verification key -> role; which
+certificates are revoked is read off the chain (`WorldState.revoked`), not
+kept here. Ed25519 signatures (RFC 8032)
 are deterministic, so the same key and payload always produce the same
 bytes and ledger replay stays bit-stable.
 
@@ -25,9 +26,9 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .canonical import is_hex_digest, kept, kept_slots, sha256_hex, typed
+from .canonical import is_hex_digest, kept, kept_slots, sha256_hex
 from .canonical import to_canonical_json  # noqa: F401  (perfbench patches it here)
-from .errors import DuplicateSubject, InvalidParticipantId, MalformedKey
+from .errors import InvalidParticipantId, MalformedKey
 
 _PARTICIPANT_RE = re.compile(r"[a-z0-9]+(\.[a-z0-9-]+)+")
 
@@ -37,7 +38,6 @@ ROLE_READER = "READER"
 ROLES = (ROLE_CNA, ROLE_GOVERNANCE, ROLE_READER)
 
 BAD_SIGNATURE = "BadSignature"
-REVOKED = "Revoked"
 
 
 def is_valid_participant_id(name: object) -> bool:
@@ -181,69 +181,26 @@ class Certificate:
             raise MalformedKey(f"bad certificate object: {exc!r}") from None
 
 
-@dataclass(frozen=True)
-class RevocationList:
-    """Serials only ever get added; version bumps by exactly one per change."""
-
-    revoked_serials: frozenset[int] = frozenset()
-    version: int = 0
-
-    def to_dict(self) -> dict:
-        return {"version": self.version, "revokedSerials": sorted(self.revoked_serials)}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "RevocationList":
-        serials = typed(obj.get("revokedSerials", []), list, "revokedSerials")
-        return cls(
-            revoked_serials=frozenset(typed(s, int, "revokedSerials") for s in serials),
-            version=typed(obj.get("version", 0), int, "version"),
-        )
-
-
-def revoke_certificate(crl: RevocationList, serial: int) -> RevocationList:
-    """Add a serial to the list; re-revocation is a no-op (no version bump)."""
-    if serial in crl.revoked_serials:
-        return crl
-    return RevocationList(
-        revoked_serials=crl.revoked_serials | {serial},
-        version=crl.version + 1,
-    )
-
-
-def verify_certificate(
-    cert: Certificate, crl: RevocationList, ca_public_key: str
-) -> tuple[bool, str | None]:
-    """(True, None) iff the CA signature holds and the serial is not revoked.
-
-    Never raises; failures return (False, BadSignature | Revoked).
-    """
+def verify_certificate(cert: Certificate, ca_public_key: str) -> tuple[bool, str | None]:
+    """(True, None) iff the CA signature holds, else (False, BadSignature).
+    Never raises."""
     if not cert.signed_by(ca_public_key):
         return False, BAD_SIGNATURE
-    if cert.serial in crl.revoked_serials:
-        return False, REVOKED
     return True, None
 
 
 class CertificateAuthority:
     """Single trust root for one network.
 
-    The issuance counter is the only mutable piece and is guarded by a lock;
-    issued certificates and the revocation list are immutable snapshots.
+    The issuance counter is its only state and is guarded by a lock; it
+    keeps no certificate. Which subjects may be issued a certificate again
+    is the network's rule (`SimulatedNetwork.issue`), read off the chain.
     """
 
-    def __init__(
-        self,
-        key: KeyPair,
-        *,
-        next_serial: int = 1,
-        live: dict[str, Certificate] | None = None,
-        crl: RevocationList | None = None,
-    ):
+    def __init__(self, key: KeyPair, *, next_serial: int = 1):
         self.key = key
         self._lock = threading.Lock()
         self._next_serial = next_serial
-        self._live: dict[str, Certificate] = dict(live or {})
-        self.crl = crl if crl is not None else RevocationList()
 
     @property
     def next_serial(self) -> int:
@@ -264,20 +221,9 @@ class CertificateAuthority:
         except (TypeError, ValueError) as exc:
             raise MalformedKey(f"bad public key: {exc}")
         with self._lock:
-            live = self._live.get(subject)
-            if live is not None and live.serial not in self.crl.revoked_serials:
-                raise DuplicateSubject(f"live certificate already issued for {subject}")
             # the serial is used up only once the certificate invariant holds
             stamp = int(time.time()) if issued_at is None else int(issued_at)
             fields = (subject, role, public_key, self._next_serial, stamp)
             cert = Certificate(*fields, ca_signature=sign_payload(self.key, _signing_bytes(*fields)).hex())
             self._next_serial += 1
-            self._live[subject] = cert
             return cert
-
-    def revoke(self, serial: int) -> bool:
-        """Returns False when the serial was already revoked."""
-        with self._lock:
-            before = self.crl
-            self.crl = revoke_certificate(self.crl, serial)
-            return self.crl is not before

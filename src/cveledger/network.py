@@ -27,7 +27,8 @@ from .chaincode import (
     execute_transaction,
 )
 from .corrections import OP_DISPUTE, OP_MERGE, OP_PARTIAL_DUP, OP_REJECT, OP_SPLIT
-from .errors import BadCertificate, ClockRegression, ClockViolation, LedgerError, MalformedKey, Revoked, UnauthorizedCaller
+from .errors import BadCertificate, ClockRegression, ClockViolation, DuplicateSubject, LedgerError, MalformedKey
+from .errors import Revoked, UnauthorizedCaller
 from .identity import (
     Certificate,
     CertificateAuthority,
@@ -95,13 +96,14 @@ class Peer:
         self.state = state
         self.tip_hash = tip_hash
 
-    def endorse(self, tx: Transaction, crl):
+    def endorse(self, tx: Transaction):
         """Signature over the payload iff the caller has a certificate in the
         state, the payload signature holds, a dry run of the chaincode passes
         every guard, and neither the caller's certificate nor the one an
-        onboarding carries is revoked. Otherwise a Refusal naming the failed
-        guard. The CA signature is not checked again: genesis and
-        onboarding, the only ways into `state.certificates`, checked it."""
+        onboarding carries is revoked on chain (`WorldState.revoked`).
+        Otherwise a Refusal naming the failed guard. The CA signature is not
+        checked again: genesis and onboarding, the only ways into
+        `state.certificates`, checked it."""
         payload = tx.payload
         caller = payload["caller"]
         cert = self.state.certificates.get(caller)
@@ -119,12 +121,12 @@ class Peer:
             )
         except LedgerError as exc:
             return Refusal(self.peer_id, exc.with_traceback(None))  # keeps no frame of the dry run
-        serials = [cert.serial]
+        certs = [cert]
         if payload["op"] == OP_ONBOARD:  # its decode is (cnaID, certHash, certificate)
-            serials.append(tx.decoded()[1][2].serial)
-        for serial in serials:
-            if serial in crl.revoked_serials:
-                return Refusal(self.peer_id, Revoked(f"certificate serial {serial} revoked"))
+            certs.append(tx.decoded()[1][2])
+        for checked in certs:
+            if self.state.revoked(checked):
+                return Refusal(self.peer_id, Revoked(f"certificate serial {checked.serial} revoked"))
         return self.peer_id, sign_payload(self.key, tx.payload_bytes()).hex()
 
     def commit_block(self, block: Block) -> None:
@@ -270,23 +272,22 @@ class SimulatedNetwork:
 
     # -- identities ---------------------------------------------------------
 
-    def issue_identity(self, participant: str, role: str = ROLE_CNA) -> Certificate:
-        if self.seed is None:  # a key derived from no seed is one anyone can recompute
-            raise BadCertificate("network has no key seed; issue identities through the node")
-        key = derive_keypair(self.seed, participant)
+    def issue(self, participant: str, role: str, key: KeyPair) -> Certificate:
+        """A certificate of `key` for `participant`, issued at the clock and
+        kept with the key in `certs` and `keys`. DuplicateSubject while the
+        last certificate issued to `participant` is not revoked on chain."""
+        held = self.certs.get(participant)
+        if held is not None and not self.peers[0].state.revoked(held):
+            raise DuplicateSubject(f"live certificate already issued for {participant}")
         cert = self.ca.issue_certificate(participant, role, key.public_hex, issued_at=self.clock)
         self.keys[participant] = key
         self.certs[participant] = cert
         return cert
 
-    def revoke_identity(self, participant: str) -> None:
-        cert = self.certs.get(participant)
-        if cert is not None:
-            self.ca.revoke(cert.serial)
-
-    @property
-    def crl(self):
-        return self.ca.crl
+    def issue_identity(self, participant: str, role: str = ROLE_CNA) -> Certificate:
+        if self.seed is None:  # a key derived from no seed is one anyone can recompute
+            raise BadCertificate("network has no key seed; issue identities through the node")
+        return self.issue(participant, role, derive_keypair(self.seed, participant))
 
     # -- transaction flow ----------------------------------------------------
 
@@ -303,7 +304,7 @@ class SimulatedNetwork:
         refusals: list[Refusal] = []
         orgs: set[str] = set()
         for peer in self.peers:
-            outcome = peer.endorse(tx, self.crl)
+            outcome = peer.endorse(tx)
             if isinstance(outcome, Refusal):
                 refusals.append(outcome)
                 continue
@@ -327,12 +328,9 @@ class SimulatedNetwork:
         )
 
     def revoke(self, cna: str, caller: str) -> SubmitResult:
-        """RevokeCNA of `cna`; once it is endorsed, the CA also revokes the
-        CNA's certificate."""
-        result = self.invoke(OP_REVOKE, {"cnaID": cna}, caller)
-        if result.accepted:
-            self.revoke_identity(cna)
-        return result
+        """RevokeCNA of `cna`; its certificates count as revoked once the
+        block that holds it commits."""
+        return self.invoke(OP_REVOKE, {"cnaID": cna}, caller)
 
     def submit(self, record: dict, salt: str | None = None, caller: str | None = None) -> SubmitResult:
         """SubmitCVE of `record`, with `salt` when one is given, signed by the
@@ -410,7 +408,8 @@ def drive_scenario(script: dict | list) -> tuple[SimulatedNetwork, list[dict], l
 
 def _drive(script: dict | list) -> tuple[SimulatedNetwork, list[dict], list[dict], list[int]]:
     """`drive_scenario`, plus the commit latency in ticks of each committed
-    transaction id, sorted."""
+    transaction, sorted. Identical transactions accepted at one clock share
+    a tx id, and each of them counts."""
     if isinstance(script, list):
         script = {"actions": script}
     seed = bytes.fromhex(script["seed"]) if "seed" in script else b"cveledger-scenario"
@@ -431,9 +430,8 @@ def _drive(script: dict | list) -> tuple[SimulatedNetwork, list[dict], list[dict
 
     action_log: list[dict] = []
     block_log: list[dict] = []
-    # tick of the last acceptance and of the last commit, per tx id
-    submit_tick: dict[str, int] = {}
-    commit_tick: dict[str, int] = {}
+    submit_tick: dict[str, int] = {}  # tick of the last acceptance, per tx id
+    latencies: list[int] = []
     salt_counter = 0
 
     def perform(entry: dict) -> dict:
@@ -445,7 +443,7 @@ def _drive(script: dict | list) -> tuple[SimulatedNetwork, list[dict], list[dict
         if kind == "onboard":
             cna = args["cna"]
             cert = net.certs.get(cna)
-            if cert is None or cert.serial in net.crl.revoked_serials:  # a revoked one cannot onboard
+            if cert is None or net.peers[0].state.revoked(cert):  # a revoked one cannot onboard
                 cert = net.issue_identity(cna, ROLE_CNA)
             result = net.onboard(cna, cert, caller)
         elif kind == "revoke":
@@ -483,8 +481,7 @@ def _drive(script: dict | list) -> tuple[SimulatedNetwork, list[dict], list[dict
                 if out["ok"]:
                     submit_tick[out["txId"]] = tick_no
         for block in net.tick(now):
-            for tx in block.txs:
-                commit_tick[tx.tx_id] = tick_no
+            latencies.extend(tick_no - submit_tick[tx.tx_id] for tx in block.txs)
             hashes = net.state_hashes()
             block_log.append(
                 {
@@ -496,8 +493,7 @@ def _drive(script: dict | list) -> tuple[SimulatedNetwork, list[dict], list[dict
                     "consistent": len(set(hashes.values())) == 1,
                 }
             )
-    latencies = sorted(commit_tick[tid] - submit_tick[tid] for tid in commit_tick)
-    return net, action_log, block_log, latencies
+    return net, action_log, block_log, sorted(latencies)
 
 
 def run_scenario(script: dict | list) -> dict:

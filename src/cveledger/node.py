@@ -23,7 +23,7 @@ from .canonical import to_canonical_json, typed
 from .chaincode import OP_CHECK_EMBARGO, OP_UPDATE_STATUS, WorldState
 from .corrections import OP_DISPUTE, OP_MERGE, OP_PARTIAL_DUP, OP_REJECT, OP_SPLIT
 from .errors import LedgerError
-from .identity import ROLE_CNA, Certificate, CertificateAuthority, KeyPair, RevocationList, derive_keypair
+from .identity import Certificate, CertificateAuthority, KeyPair, derive_keypair
 from .ledger import Block, EndorsementPolicy, state_hash
 from .network import DEFAULT_GOVERNANCE, OrdererConfig, SimulatedNetwork, SubmitResult, build_consortium
 from .records import parse_cve_id
@@ -40,7 +40,6 @@ from .storage import (  # noqa: F401
 
 LEDGER_FILE = "ledger.jsonl"
 CONFIG_FILE = "config.json"
-CRL_FILE = "crl.json"
 KEYS_DIR = "keys"
 CERTS_DIR = "certs"
 
@@ -210,7 +209,6 @@ class Node:
         with DataDirLock(data_dir):
             append_block_file(data_dir / LEDGER_FILE, genesis)
             _write_json(data_dir / CONFIG_FILE, config.to_dict())
-            _write_json(data_dir / CRL_FILE, RevocationList().to_dict())
             _write_json(data_dir / config.ca_key_path, _key_file(ca.key))
             for name, key in keys.items():
                 _write_json(data_dir / KEYS_DIR / f"{name}.json", _key_file(key))
@@ -228,15 +226,13 @@ class Node:
         `ledger.checked_block`, and a bad one refuses the open with
         LedgerCorrupt at its height. `net.keys` holds every key in `keys/`
         but the CA's. Nothing else is stored twice: the CA's next serial is
-        one above the highest in `certs/` and the CRL (`issue` writes each
-        certificate before it returns), and the CRL is joined with the
-        chain's revocations, revoking the certificate of each CNA the
-        loaded state holds but no longer authorizes."""
+        one above the highest in `certs/` or on chain (`issue` writes each
+        certificate before it returns), and which certificates are revoked
+        is read off the loaded state (`WorldState.revoked`)."""
         data_dir = Path(data_dir)
         lock = DataDirLock(data_dir)
         try:
             config, chain, loaded, digest = load_data_dir(data_dir, lock)
-            crl = read_json_file(data_dir / CRL_FILE, parse=RevocationList.from_dict)
             keys = {
                 path.stem: read_json_file(path, parse=_key_pair)
                 for path in sorted((data_dir / KEYS_DIR).glob("*.json"))
@@ -247,10 +243,9 @@ class Node:
                 for path in sorted((data_dir / CERTS_DIR).glob("*.json"))
             }
             ca_key = read_json_file(data_dir / config.ca_key_path, parse=_key_pair)
-            next_serial = 1 + max({cert.serial for cert in certs.values()} | crl.revoked_serials, default=0)
-            ca = CertificateAuthority(ca_key, next_serial=next_serial, live=certs, crl=crl)
+            next_serial = 1 + max(cert.serial for cert in [*certs.values(), *loaded.certificates.values()])
             net = SimulatedNetwork.from_materials(
-                ca=ca,
+                ca=CertificateAuthority(ca_key, next_serial=next_serial),
                 keys=keys,
                 certs=certs,
                 chain=chain,
@@ -258,10 +253,6 @@ class Node:
                 governance_id=config.governance_id,
                 state=loaded,
             )
-            state = net.peers[0].state
-            for cert in state.certificates.values():
-                if cert.role == ROLE_CNA and cert.subject not in state.authorized_cnas:
-                    ca.revoke(cert.serial)
         except BaseException:
             lock.release()
             raise
@@ -280,9 +271,7 @@ class Node:
 
     def issue(self, participant: str, role: str) -> Certificate:
         key = KeyPair.generate()
-        cert = self.net.ca.issue_certificate(participant, role, key.public_hex, issued_at=self.net.clock)
-        self.net.keys[participant] = key
-        self.net.certs[participant] = cert
+        cert = self.net.issue(participant, role, key)
         _write_json(self.data_dir / KEYS_DIR / f"{participant}.json", _key_file(key))
         _write_json(self.data_dir / CERTS_DIR / f"{participant}.json", cert.to_dict())
         return cert
@@ -321,13 +310,10 @@ class Node:
         return out
 
     def revoke(self, cna: str) -> dict:
-        before = self.net.crl.version
+        """RevokeCNA of `cna`. `crlVersion` is the number of committed
+        `CNARevoked` events, one per certificate the chain has revoked."""
         out = self._append(self.net.revoke(cna, self.config.governance_id))
-        if cna in self.net.certs:
-            if self.net.crl.version == before:
-                out["notice"] = "AlreadyRevoked"
-            _write_json(self.data_dir / CRL_FILE, self.net.crl.to_dict())
-        out["crlVersion"] = self.net.crl.version
+        out["crlVersion"] = sum(event.kind == "CNARevoked" for event in self.state.event_log)
         return out
 
     def submit(self, record: dict, embargo: int | None = None, salt: str | None = None) -> dict:

@@ -117,7 +117,7 @@ def test_a_near_valid_certificate_is_refused_or_signable(obj):
         tx = NETWORK.build_tx(OP_ONBOARD, onboard, NETWORK.governance_id)
     except UnicodeEncodeError:
         return  # text UTF-8 cannot encode cannot be signed, so no transaction carries it
-    outcome = NETWORK.peers[0].endorse(tx, NETWORK.crl)
+    outcome = NETWORK.peers[0].endorse(tx)
     assert isinstance(outcome, (Refusal, tuple))
 
 

@@ -32,7 +32,6 @@ RECORD = {
 GENESIS_HASH = "9e11826208efc6ae328e7bc5aad82175339ad4a39a148c490106d1098e598d56"
 STATE_HASH = "f2d0ca4f2c9dc7edf424b1783ace1f6d2ce9d50f93c69efa72f0b1db36ffc296"
 LEDGER_SHA256 = "c4b595ef703490a4bccb926510750925b55e500f28d73252dc2099a8fdd36020"
-CRL_BYTES = b'{"revokedSerials":[2],"version":1}\n'
 OUTPUTS = [
     {
         "blocks": ["23130d86d92af24bd6d3fde23cb058add415ee409a17b6a24ea52f6a57aacd45"],
@@ -81,7 +80,7 @@ def test_node_path_bytes_unchanged(tmp_path):
         assert node.memory_state_hash() == STATE_HASH
         assert node.replay_hash() == STATE_HASH
     assert outputs == OUTPUTS
-    assert (data_dir / "crl.json").read_bytes() == CRL_BYTES
+    assert not (data_dir / "crl.json").exists()
     assert hashlib.sha256((data_dir / "ledger.jsonl").read_bytes()).hexdigest() == LEDGER_SHA256
 
 

@@ -3,10 +3,11 @@
 `config.json` holds only the settings the node reads: the endorsement
 policy and the peer set live in the genesis block, and keys of older files
 that copied them are ignored. `keys/ca.json` holds the CA key alone; the
-next serial is derived on open from `certs/` and the CRL, and the CRL is
-joined with the chain's revocations. Every data-dir file is replaced by an
-fsynced rename, so a failed write leaves the previous file whole, and the
-files under `keys/` are readable by their owner only.
+next serial is derived on open from `certs/` and the chain. Revocation is
+read off the chain alone, so a `crl.json` left by an older data dir is
+ignored. Every data-dir file is replaced by an fsynced rename, so a failed
+write leaves the previous file whole, and the files under `keys/` are
+readable by their owner only.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from cveledger.cli import main
 from cveledger.errors import LedgerError, PolicyUnsatisfied
 from cveledger.identity import ROLE_CNA
 from cveledger.ledger import EndorsementPolicy, append_block
-from cveledger.node import CERTS_DIR, CONFIG_FILE, CRL_FILE, KEYS_DIR, LEDGER_FILE, Node
+from cveledger.node import CERTS_DIR, CONFIG_FILE, KEYS_DIR, LEDGER_FILE, Node
 
 SEED = b"data-dir-facts"
 CA_FILE = f"{KEYS_DIR}/ca.json"
+OLD_CRL_FILE = "crl.json"  # the revocation list an older data dir kept
 MAJORITY = EndorsementPolicy(rule="MAJORITY_OF", orgs=frozenset({"org0", "org1", "org2"}))
 RECORD = {
     "cveID": "CVE-2025-0001",
@@ -54,6 +56,7 @@ def test_init_writes_only_what_the_node_reads(tmp_path):
     Node.init(data_dir, genesis_time=1000, seed=SEED, policy=MAJORITY, peer_count=4).close()
     assert set(_json(data_dir / CONFIG_FILE)) == {"caKeyPath", "governanceId", "listenPort", "ordererConfig"}
     assert set(_json(data_dir / CA_FILE)) == {"publicKey", "seedHex"}
+    assert not (data_dir / OLD_CRL_FILE).exists()
 
 
 # -- (b) an older config.json still opens, and the genesis policy rules ---------------------
@@ -85,7 +88,7 @@ def test_a_config_with_dropped_keys_opens_and_the_genesis_policy_holds(tmp_path,
         assert node.net.trust.policy == MAJORITY
         assert len(node.net.peers) == 3
         tx = node.net.build_tx(OP_CHECK_EMBARGO, {}, node.config.governance_id)
-        endorsements = [peer.endorse(tx, node.net.crl) for peer in node.net.peers]
+        endorsements = [peer.endorse(tx) for peer in node.net.peers]
         with pytest.raises(PolicyUnsatisfied):
             append_block(node.net.chain, [tx.with_endorsements(endorsements[:1])], node.net.clock, node.net.trust)
         append_block(node.net.chain, [tx.with_endorsements(endorsements[:2])], node.net.clock, node.net.trust)
@@ -114,12 +117,12 @@ def test_a_lost_ca_write_does_not_hand_out_a_serial_twice(tmp_path):
 def test_serials_keep_increasing_across_revoke_reissue_and_reopen(tmp_path):
     data_dir = tmp_path / "d"
     with Node.init(data_dir, genesis_time=1000, seed=SEED) as node:
-        serials = [node.net.certs[node.config.governance_id].serial]
+        certs = [node.net.certs[node.config.governance_id]]
 
     def issue(name):
         with Node.open(data_dir) as node:
             cert = node.issue(name, ROLE_CNA)
-        serials.append(cert.serial)
+        certs.append(cert)
         cert_file = tmp_path / f"{name}.{cert.serial}.cert.json"
         cert_file.write_text(json.dumps(cert.to_dict()))
         return cert_file
@@ -133,12 +136,12 @@ def test_serials_keep_increasing_across_revoke_reissue_and_reopen(tmp_path):
     issue("cna.beta")
     onboard_and_revoke("cna.alpha", issue("cna.alpha"))
     issue("cna.gamma")
-    assert serials == [1, 2, 3, 4, 5]
+    assert [cert.serial for cert in certs] == [1, 2, 3, 4, 5]
     with Node.open(data_dir) as node:
-        assert node.net.crl.revoked_serials == {2, 4}
+        assert {cert.serial for cert in certs if node.state.revoked(cert)} == {2, 4}
 
 
-# -- (d) the chain's revocations are in the CRL ----------------------------------------------
+# -- (d) revocation is read off the chain ------------------------------------------------------
 
 
 def _cli(capsys, data_dir, *argv) -> tuple[int, list[str]]:
@@ -147,7 +150,7 @@ def _cli(capsys, data_dir, *argv) -> tuple[int, list[str]]:
     return code, capsys.readouterr().err.strip().splitlines()
 
 
-def test_a_lost_crl_write_does_not_undo_a_committed_revoke(tmp_path, capsys):
+def test_a_stale_crl_file_does_not_undo_a_committed_revoke(tmp_path, capsys):
     data_dir = tmp_path / "demo"
     record = tmp_path / "record.json"
     record.write_text(json.dumps(RECORD))
@@ -160,17 +163,16 @@ def test_a_lost_crl_write_does_not_undo_a_committed_revoke(tmp_path, capsys):
         ["tick", "--now", "1500"],
     ):
         assert _cli(capsys, data_dir, *argv)[0] == 0, argv
-    crl_before = (data_dir / CRL_FILE).read_bytes()
     assert _cli(capsys, data_dir, "revoke", "cna.redhat")[0] == 0
-    # what a lost crl.json write would leave behind
-    (data_dir / CRL_FILE).write_bytes(crl_before)
+    # the revocation list of an older data dir, listing nothing
+    (data_dir / OLD_CRL_FILE).write_text('{"revokedSerials":[],"version":0}\n')
     ledger = (data_dir / LEDGER_FILE).read_bytes()
     code, err = _cli(capsys, data_dir, "status", "CVE-2025-0001", "ARCHIVED", "--as", "cna.redhat")
     assert code == 1 and len(err) == 1 and "revoked" in json.loads(err[0])["message"], err
     assert (data_dir / LEDGER_FILE).read_bytes() == ledger
 
 
-def test_the_fold_keeps_an_intact_crl_and_already_revoked(tmp_path):
+def test_a_revoked_certificate_stays_refused_and_a_stale_crl_file_revokes_nothing(tmp_path):
     data_dir = tmp_path / "d"
     alpha_file, beta_file = tmp_path / "alpha.cert.json", tmp_path / "beta.cert.json"
     with Node.init(data_dir, genesis_time=1000, seed=SEED) as node:
@@ -181,11 +183,9 @@ def test_the_fold_keeps_an_intact_crl_and_already_revoked(tmp_path):
         beta = node.issue("cna.beta", ROLE_CNA)
         beta_file.write_text(json.dumps(beta.to_dict()))
         node.onboard("cna.beta", beta_file)
-        crl = node.net.crl
-    assert crl.version == 1
     ledger = (data_dir / LEDGER_FILE).read_bytes()
     with Node.open(data_dir) as node:
-        assert node.net.crl == crl
+        assert [node.state.revoked(cert) for cert in (alpha, beta)] == [True, False]
         # a revoked certificate cannot onboard its CNA again
         refused = node.net.onboard("cna.alpha", alpha, node.config.governance_id)
         assert not refused.accepted and {r.code for r in refused.refusals} == {"Revoked"}
@@ -193,11 +193,34 @@ def test_the_fold_keeps_an_intact_crl_and_already_revoked(tmp_path):
             node.onboard("cna.alpha", alpha_file)
         assert "cna.alpha" not in node.state.authorized_cnas
     assert (data_dir / LEDGER_FILE).read_bytes() == ledger
-    # a crl.json that already lists an authorized CNA's serial
-    (data_dir / CRL_FILE).write_text(json.dumps({"version": 2, "revokedSerials": [alpha.serial, beta.serial]}))
+    # a crl.json of an older data dir that lists an authorized CNA's serial
+    (data_dir / OLD_CRL_FILE).write_text(json.dumps({"version": 2, "revokedSerials": [alpha.serial, beta.serial]}))
     with Node.open(data_dir) as node:
+        assert not node.state.revoked(beta)
+        node.submit(dict(RECORD, submitterCNA="cna.beta"))
         out = node.revoke("cna.beta")
-    assert out["notice"] == "AlreadyRevoked" and out["crlVersion"] == 2
+    assert set(out) == {"blocks", "crlVersion", "height", "txId"} and out["crlVersion"] == 2
+
+
+def test_a_superseded_revoked_certificate_is_refused_across_a_fresh_open(tmp_path, capsys):
+    data_dir = tmp_path / "d"
+    assert _cli(capsys, data_dir, "init", "--now", "1000")[0] == 0
+    cert_files = [tmp_path / "a.1.cert.json", tmp_path / "a.2.cert.json"]
+    for cert_file in cert_files:
+        for argv in (
+            ["issue", "cna.a", "--out", str(cert_file)],
+            ["onboard", "cna.a", str(cert_file)],
+            ["revoke", "cna.a"],
+        ):
+            assert _cli(capsys, data_dir, *argv)[0] == 0, argv
+    ledger = (data_dir / LEDGER_FILE).read_bytes()
+    refusal = {"error": "Revoked", "message": "certificate serial 2 revoked"}
+    for fresh in ("from the checkpoint", "again", "from genesis"):
+        if fresh == "from genesis":
+            (data_dir / f"{LEDGER_FILE}.state").unlink()
+        code, err = _cli(capsys, data_dir, "onboard", "cna.a", str(cert_files[0]))
+        assert (code, [json.loads(line) for line in err]) == (1, [refusal]), fresh
+        assert (data_dir / LEDGER_FILE).read_bytes() == ledger, fresh
 
 
 # -- (e) a failed write leaves the previous file -------------------------------------------
@@ -221,19 +244,18 @@ def _refuse_replace(monkeypatch):
     monkeypatch.setattr(os, "replace", refuse)
 
 
-def test_a_failed_crl_write_leaves_the_old_crl_and_no_temp_file(onboarded_dir, monkeypatch):
+def test_revoke_writes_only_the_ledger_and_its_checkpoint(onboarded_dir):
     before = _files(onboarded_dir)
     with Node.open(onboarded_dir) as node:
-        _refuse_replace(monkeypatch)
-        with pytest.raises(OSError, match="replace refused"):
-            node.revoke("cna.alpha")
+        assert node.revoke("cna.alpha")["crlVersion"] == 1
     after = _files(onboarded_dir)
-    assert after.pop(LEDGER_FILE) != before.pop(LEDGER_FILE)  # the block committed first
+    for name in (LEDGER_FILE, f"{LEDGER_FILE}.state"):
+        assert after.pop(name) != before.pop(name)
     assert after == before
 
 
 @pytest.mark.parametrize(
-    "name", [CONFIG_FILE, CRL_FILE, CA_FILE, f"{KEYS_DIR}/gov.root.json", f"{CERTS_DIR}/gov.root.json"]
+    "name", [CONFIG_FILE, CA_FILE, f"{KEYS_DIR}/gov.root.json", f"{CERTS_DIR}/gov.root.json"]
 )
 def test_a_failed_write_leaves_every_data_dir_file_whole(onboarded_dir, monkeypatch, name):
     before = _files(onboarded_dir)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import http.client
 import random
+import socket
 import sys
 import threading
 import time
@@ -160,3 +161,20 @@ def test_concurrent_answers_are_the_sequential_ones(service):  # noqa: F811
         sys.setswitchinterval(interval)
     assert not mismatches, mismatches[:3]
     assert 1 <= settle(before) <= 4
+
+
+def test_a_silent_connection_is_closed_and_its_thread_let_go(server, monkeypatch):
+    """Six clients that connect and send nothing: the handler timeout closes
+    each connection, and the threads that answered them stay within the
+    idle cap."""
+    assert 0 < httpapi._Handler.timeout == httpapi.HANDLER_TIMEOUT_S
+    monkeypatch.setattr(httpapi._Handler, "timeout", 0.2)
+    silent = [socket.create_connection(("127.0.0.1", server.port), timeout=30) for _ in range(6)]
+    try:
+        for sock in silent:
+            assert sock.recv(1) == b""  # the server closed it
+    finally:
+        for sock in silent:
+            sock.close()
+    assert settle(server.threads_before) <= httpapi.IDLE_THREADS
+    assert request(server.port, "/v1/events")[0] == 200

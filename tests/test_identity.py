@@ -14,19 +14,18 @@ from cveledger.identity import (
     Certificate,
     CertificateAuthority,
     KeyPair,
-    REVOKED,
-    RevocationList,
     ROLE_CNA,
+    ROLE_GOVERNANCE,
     derive_keypair,
     is_valid_participant_id,
-    revoke_certificate,
     sign_payload,
     verify_certificate,
     verify_payload,
 )
+from cveledger.network import SimulatedNetwork
 from cveledger.node import _key_file
 
-from conftest import TEST_SEED
+from conftest import GOV, TEST_SEED, make_state
 
 
 def fresh_ca(label="ca") -> CertificateAuthority:
@@ -62,19 +61,21 @@ class TestIssuance:
         assert second.serial == 2
 
     def test_duplicate_subject_refused(self):
-        ca = fresh_ca()
-        key = subject_key("cna.redhat").public_hex
-        ca.issue_certificate("cna.redhat", ROLE_CNA, key)
+        net = SimulatedNetwork(seed=TEST_SEED)
+        net.issue_identity("cna.redhat")
         with pytest.raises(DuplicateSubject):
-            ca.issue_certificate("cna.redhat", ROLE_CNA, key)
+            net.issue_identity("cna.redhat")
 
-    def test_reissue_allowed_after_revocation(self):
-        ca = fresh_ca()
-        key = subject_key("cna.redhat").public_hex
-        cert = ca.issue_certificate("cna.redhat", ROLE_CNA, key)
-        ca.revoke(cert.serial)
-        cert2 = ca.issue_certificate("cna.redhat", ROLE_CNA, key)
-        assert cert2.serial == cert.serial + 1
+    def test_reissue_allowed_once_the_revocation_commits(self):
+        net = SimulatedNetwork(seed=TEST_SEED)
+        cert = net.issue_identity("cna.redhat")
+        assert net.onboard("cna.redhat", cert, GOV).accepted
+        net.tick()
+        assert net.revoke("cna.redhat", GOV).accepted
+        with pytest.raises(DuplicateSubject):  # endorsed, not yet committed
+            net.issue_identity("cna.redhat")
+        net.tick()
+        assert net.issue_identity("cna.redhat").serial == cert.serial + 1
 
     def test_malformed_key_refused(self):
         ca = fresh_ca()
@@ -97,17 +98,17 @@ class TestIssuance:
 
 
 class TestVerification:
-    def test_fresh_cert_empty_crl_verifies(self):
+    def test_fresh_cert_verifies(self):
         ca = fresh_ca()
         cert = ca.issue_certificate("cna.redhat", ROLE_CNA, subject_key("cna.redhat").public_hex)
-        assert verify_certificate(cert, RevocationList(), ca.public_key) == (True, None)
+        assert verify_certificate(cert, ca.public_key) == (True, None)
 
     def test_every_issued_cert_verifies_under_its_ca(self):
         ca = fresh_ca()
         subjects = [("cna.one", "CNA"), ("gov.board1", "GOVERNANCE"), ("reader.pub", "READER")]
         for name, role in subjects:
             cert = ca.issue_certificate(name, role, subject_key(name).public_hex)
-            assert verify_certificate(cert, RevocationList(), ca.public_key) == (True, None)
+            assert verify_certificate(cert, ca.public_key) == (True, None)
 
     def test_any_signature_byte_flip_fails(self):
         # flip bits in every byte of a valid CA signature; all must fail
@@ -126,52 +127,44 @@ class TestVerification:
                     issued_at=cert.issued_at,
                     ca_signature=bytes(mutated).hex(),
                 )
-                ok, reason = verify_certificate(bad, RevocationList(), ca.public_key)
+                ok, reason = verify_certificate(bad, ca.public_key)
                 assert (ok, reason) == (False, BAD_SIGNATURE), f"byte {pos} mask {mask:#x} slipped by"
-
-    def test_revoked_serial_fails_with_reason(self):
-        ca = fresh_ca()
-        cert = ca.issue_certificate("cna.redhat", ROLE_CNA, subject_key("cna.redhat").public_hex)
-        crl = revoke_certificate(RevocationList(), cert.serial)
-        assert verify_certificate(cert, crl, ca.public_key) == (False, REVOKED)
 
     def test_no_cross_ca_verification(self):
         ca1, ca2 = fresh_ca("ca1"), fresh_ca("ca2")
         cert = ca1.issue_certificate("cna.redhat", ROLE_CNA, subject_key("cna.redhat").public_hex)
-        ok, reason = verify_certificate(cert, RevocationList(), ca2.public_key)
+        ok, reason = verify_certificate(cert, ca2.public_key)
         assert (ok, reason) == (False, BAD_SIGNATURE)
 
-    def test_revocation_is_monotone(self):
-        ca = fresh_ca()
-        cert = ca.issue_certificate("cna.redhat", ROLE_CNA, subject_key("cna.redhat").public_hex)
-        crl = RevocationList()
-        crl = revoke_certificate(crl, cert.serial)
-        for serial in (7, 9, 100):
-            crl = revoke_certificate(crl, serial)
-            ok, reason = verify_certificate(cert, crl, ca.public_key)
-            assert (ok, reason) == (False, REVOKED)
 
+class TestRevokedOnChain:
+    """`WorldState.revoked`: a certificate is revoked iff the state holds a
+    CNA certificate of its subject with a higher serial, or this serial
+    while the subject is no longer authorized."""
 
-class TestRevocationList:
-    def test_revoke_adds_and_bumps_version(self):
-        crl = revoke_certificate(RevocationList(), 5)
-        assert crl.revoked_serials == {5}
-        assert crl.version == 1
+    def test_an_authorized_cnas_certificate_is_not_revoked_until_its_revocation(self, ca):
+        state = make_state(ca, cnas=("cna.redhat",))
+        cert = state.certificates["cna.redhat"]
+        assert not state.revoked(cert)
+        del state.authorized_cnas["cna.redhat"]
+        assert state.revoked(cert)
 
-    def test_re_revocation_is_noop(self):
-        crl = revoke_certificate(RevocationList(), 5)
-        again = revoke_certificate(crl, 5)
-        assert again is crl
-        assert again.version == 1
+    def test_an_older_certificate_is_revoked_a_newer_one_is_not(self, ca):
+        state = make_state(ca, cnas=("cna.redhat",))
+        held = state.certificates["cna.redhat"]
+        key = subject_key("cna.redhat").public_hex
+        older, newer = (dataclasses.replace(held, serial=held.serial + step) for step in (-1, 1))
+        assert state.revoked(older) and not state.revoked(newer)
+        del state.authorized_cnas["cna.redhat"]
+        assert state.revoked(older) and not state.revoked(newer)
+        assert not state.revoked(ca.issue_certificate("cna.other", ROLE_CNA, key))  # no certificate held
 
-    def test_two_revocations(self):
-        crl = revoke_certificate(revoke_certificate(RevocationList(), 5), 9)
-        assert crl.revoked_serials == {5, 9}
-        assert crl.version == 2
-
-    def test_serialization_roundtrip(self):
-        crl = revoke_certificate(revoke_certificate(RevocationList(), 5), 9)
-        assert RevocationList.from_dict(crl.to_dict()) == crl
+    def test_only_a_held_cna_certificate_revokes(self, ca):
+        state = make_state(ca, cnas=())
+        gov = state.certificates[GOV]
+        assert gov.role == ROLE_GOVERNANCE
+        assert not state.revoked(dataclasses.replace(gov, serial=gov.serial - 1))
+        assert not state.revoked(gov)
 
 
 class TestSignatures:

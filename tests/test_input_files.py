@@ -10,7 +10,7 @@ import pytest
 
 from cveledger.cli import main
 from cveledger.errors import LedgerError
-from cveledger.node import CONFIG_FILE, CRL_FILE, KEYS_DIR, Node
+from cveledger.node import CONFIG_FILE, KEYS_DIR, LEDGER_FILE, Node
 
 
 def run_cli(capsys, data_dir, *argv) -> tuple[int, dict]:
@@ -64,8 +64,6 @@ BAD_FILES = [
     (CONFIG_FILE, '{"ordererConfig": []}'),
     (CONFIG_FILE, '{"caKeyPath": 5}'),
     (CONFIG_FILE, "{"),
-    (CRL_FILE, "[]"),
-    (CRL_FILE, '{"revokedSerials": 5}'),
     (f"{KEYS_DIR}/cna.redhat.json", '{"publicKey": "00"}'),
     (f"{KEYS_DIR}/cna.redhat.json", '{"seedHex": "zz"}'),
     (f"{KEYS_DIR}/cna.redhat.json", '{"seedHex": "00"}'),
@@ -91,9 +89,21 @@ def test_a_malformed_data_dir_file_is_refused_by_name(data_dir, capsys, name, co
 
 
 def test_the_lock_is_released_after_a_malformed_file(data_dir):
-    (data_dir / CRL_FILE).write_text("[]")
+    ca_file = data_dir / KEYS_DIR / "ca.json"
+    ca_key = ca_file.read_bytes()
+    ca_file.write_text("[]")
     with pytest.raises(LedgerError):
         Node.open(data_dir)
-    (data_dir / CRL_FILE).write_text('{"revokedSerials": [], "version": 0}')
+    ca_file.write_bytes(ca_key)
     with Node.open(data_dir) as node:
         assert node.net.chain[-1].height == 1
+
+
+@pytest.mark.parametrize("content", ["[]", '{"revokedSerials": 5}', "{"])
+def test_a_crl_file_of_an_older_data_dir_is_never_read(data_dir, capsys, content):
+    (data_dir / "crl.json").write_text(content)
+    ledger = (data_dir / LEDGER_FILE).read_bytes()
+    capsys.readouterr()
+    assert main(["--data-dir", str(data_dir), "revoke", "cna.redhat"]) == 0
+    assert json.loads(capsys.readouterr().out)["crlVersion"] == 1
+    assert (data_dir / LEDGER_FILE).read_bytes() != ledger

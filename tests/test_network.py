@@ -40,7 +40,7 @@ class TestEndorsement:
     def test_valid_submission_endorsed(self):
         net = onboarded_network()
         tx = net.build_tx("SubmitCVE", record_args(1), "cna.redhat")
-        outcome = net.peers[0].endorse(tx, net.crl)
+        outcome = net.peers[0].endorse(tx)
         assert not isinstance(outcome, Refusal)
         peer_id, sig = outcome
         assert peer_id == net.peers[0].peer_id and len(sig) == 128
@@ -48,10 +48,9 @@ class TestEndorsement:
     def test_revoked_cna_refused_as_unauthorized(self):
         net = onboarded_network()
         net.invoke("RevokeCNA", {"cnaID": "cna.redhat"}, "gov.root")
-        net.revoke_identity("cna.redhat")
         net.tick(1002)
         tx = net.build_tx("SubmitCVE", record_args(1), "cna.redhat")
-        outcome = net.peers[0].endorse(tx, net.crl)
+        outcome = net.peers[0].endorse(tx)
         assert isinstance(outcome, Refusal)
         assert outcome.code == "UnauthorizedCaller"
 
@@ -60,7 +59,7 @@ class TestEndorsement:
         args = record_args(1)
         args["record"]["description"] = ""
         tx = net.build_tx("SubmitCVE", args, "cna.redhat")
-        outcome = net.peers[0].endorse(tx, net.crl)
+        outcome = net.peers[0].endorse(tx)
         assert isinstance(outcome, Refusal)
         assert outcome.code == "SchemaViolation"
 
@@ -72,22 +71,28 @@ class TestEndorsement:
         for peer in net.peers:
             peer.state.certificates["reader.one"] = net.certs["reader.one"]
         tx = net.build_tx("CheckEmbargoReleases", {}, "reader.one")
-        outcome = net.peers[0].endorse(tx, net.crl)
+        outcome = net.peers[0].endorse(tx)
         assert isinstance(outcome, Refusal) and outcome.code == "UnauthorizedCaller"
 
     def test_unknown_identity_refused(self):
         net = onboarded_network()
         net.keys["cna.ghost"] = net.keys["cna.redhat"]
         tx = net.build_tx("SubmitCVE", record_args(1, submitter="cna.ghost"), "cna.ghost")
-        outcome = net.peers[0].endorse(tx, net.crl)
+        outcome = net.peers[0].endorse(tx)
         assert isinstance(outcome, Refusal) and outcome.code == "BadCertificate"
 
-    def test_cert_revoked_but_still_authorized_refused_as_revoked(self):
+    def test_a_revoked_submitter_passes_the_dry_run_and_is_refused_as_revoked(self):
         net = onboarded_network()
-        net.revoke_identity("cna.redhat")  # CRL only; still in authorizedCNAs
-        tx = net.build_tx("SubmitCVE", record_args(1), "cna.redhat")
-        outcome = net.peers[0].endorse(tx, net.crl)
+        assert net.invoke("SubmitCVE", record_args(1), "cna.redhat").accepted
+        net.tick(1002)
+        assert net.revoke("cna.redhat", "gov.root").accepted
+        args = {"cveID": "CVE-2025-0001", "newStatus": "ARCHIVED"}
+        # the submitter may move its own record, and the revocation is not committed yet
+        assert not isinstance(net.peers[0].endorse(net.build_tx("UpdateCVEStatus", args, "cna.redhat")), Refusal)
+        net.tick(1003)
+        outcome = net.peers[0].endorse(net.build_tx("UpdateCVEStatus", args, "cna.redhat"))
         assert isinstance(outcome, Refusal) and outcome.code == "Revoked"
+        assert str(outcome.error) == f"certificate serial {net.certs['cna.redhat'].serial} revoked"
 
 
 class TestOrdering:
@@ -201,6 +206,52 @@ class TestScenarios:
         assert trace["blocks"] == []
         assert trace["actions"] == []
         assert trace["stats"]["committedTxs"] == 0
+
+    def test_identical_transactions_at_one_clock_each_count_as_committed(self):
+        # the two embargo-ticks at tick 1 share a tx id
+        trace = run_scenario([{"atTick": t, "action": "embargo-tick", "args": {}} for t in (0, 1, 1)])
+        assert sum(block["txCount"] for block in trace["blocks"]) == 3
+        assert trace["stats"]["committedTxs"] == 3
+
+    def test_a_status_update_endorsed_in_the_revoking_tick_commits_after_the_revocation(self):
+        # revocation takes effect when the RevokeCNA block commits: the update
+        # endorsed in the same tick is cut into that block after it and applied
+        record = {
+            "description": "flaw",
+            "product": "widget",
+            "version": [{"lo": [1, 0, 0], "hi": [1, 5, 0]}],
+            "severity": {"label": "HIGH", "cvssScore": 8.1},
+            "submitterCNA": "cna.redhat",
+        }
+
+        def archive(tick, cve_id):
+            args = {"cveID": cve_id, "newStatus": "ARCHIVED", "caller": "cna.redhat"}
+            return {"atTick": tick, "action": "status", "args": args}
+
+        trace = run_scenario(
+            {
+                "seed": "00" * 16,
+                "genesisTime": 1000,
+                "actions": [
+                    {"atTick": 0, "action": "onboard", "args": {"cna": "cna.redhat"}},
+                    {"atTick": 1, "action": "submit", "args": {"record": {**record, "cveID": "CVE-2025-0001"}}},
+                    {"atTick": 1, "action": "submit", "args": {"record": {**record, "cveID": "CVE-2025-0002"}}},
+                    {"atTick": 2, "action": "revoke", "args": {"cna": "cna.redhat"}},
+                    archive(2, "CVE-2025-0001"),
+                    archive(3, "CVE-2025-0002"),
+                ],
+            }
+        )
+        revoke, same_tick, next_tick = trace["actions"][3:]
+        assert revoke["ok"] and same_tick["ok"] and not next_tick["ok"]
+        assert {r["code"] for r in next_tick["refusals"]} == {"Revoked"}
+        assert [(e["kind"], e["blockHeight"], e["txIndex"]) for e in trace["events"][3:]] == [
+            ("CNARevoked", 3, 0),
+            ("CVEStatusChanged", 3, 1),
+        ]
+        assert trace["events"][4]["subject"] == "CVE-2025-0001"
+        assert trace["failedTxs"] == [] and trace["stats"]["committedTxs"] == 5
+        assert [block["txCount"] for block in trace["blocks"]] == [1, 2, 2]
 
     def test_same_script_twice_identical_bytes(self):
         first = trace_json(run_scenario(SUBMISSION_FLOW))

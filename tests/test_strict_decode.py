@@ -26,7 +26,7 @@ from cveledger.cli import main
 from cveledger.errors import LedgerCorrupt, LedgerError, SchemaViolation
 from cveledger.identity import CertificateAuthority, derive_keypair
 from cveledger.ledger import state_hash
-from cveledger.node import CONFIG_FILE, CRL_FILE, LEDGER_FILE, Node
+from cveledger.node import CONFIG_FILE, LEDGER_FILE, Node
 from cveledger.records import Annotation, parse_cve_id, record_to_dict
 from cveledger.storage import ChainAuditor, DataDirLock, read_chain
 
@@ -283,9 +283,6 @@ FILE_CASES = [
     (CONFIG_FILE, ("listenPort",), int, lambda node: node.config.listen_port),
     (CONFIG_FILE, ("caKeyPath",), str, None),
     (CONFIG_FILE, ("governanceId",), str, lambda node: node.config.governance_id),
-    (CRL_FILE, ("version",), int, lambda node: node.net.crl.version),
-    (CRL_FILE, ("revokedSerials",), list, lambda node: node.net.crl.to_dict()["revokedSerials"]),
-    (CRL_FILE, ("revokedSerials", 0), int, lambda node: node.net.crl.to_dict()["revokedSerials"][0]),
 ]
 
 
@@ -293,8 +290,6 @@ def _check_file_case(data_dir, case, value, scratch) -> None:
     name, path, kind, read = case
     copy = _fresh_copy(data_dir, scratch)
     obj = json.loads((copy / name).read_text())
-    if name == CRL_FILE:
-        obj["revokedSerials"] = [99]  # a serial for the ("revokedSerials", 0) case to replace
     _put(obj, path, value)
     (copy / name).write_text(json.dumps(obj))
     try:
@@ -397,7 +392,6 @@ def _write_with(path: Path, field_path, literal: str) -> None:
         (CONFIG_FILE, ("ordererConfig", "tickSeconds"), "1e400"),
         (CONFIG_FILE, ("ordererConfig", "maxBlockTxs"), '"100"'),
         (CONFIG_FILE, ("listenPort",), "true"),
-        (CRL_FILE, ("version",), "1e400"),
         (CA_FILE, ("seedHex",), "1e400"),
     ],
 )
