@@ -61,8 +61,15 @@ DEFAULT_GOVERNANCE = "gov.root"
 
 @dataclass(frozen=True)
 class OrdererConfig:
+    """The cut rule: blocks of at most `max_block_txs` (at least 1), and each
+    `SimulatedNetwork.tick` cuts every pending transaction."""
+
     max_block_txs: int = 100
     tick_seconds: int = 1
+
+    def __post_init__(self) -> None:
+        if self.max_block_txs < 1:
+            raise ValueError(f"maxBlockTxs must be at least 1, not {self.max_block_txs}")
 
     def to_dict(self) -> dict:
         return {"maxBlockTxs": self.max_block_txs, "tickSeconds": self.tick_seconds}
@@ -356,8 +363,8 @@ class SimulatedNetwork:
         self.clock = self._next_clock(now)
 
     def tick(self, now: int | None = None) -> list[Block]:
-        """Advance the logical clock and cut pending transactions into
-        blocks (max_block_txs per block); all peers commit each block, and
+        """Advance the logical clock and cut every pending transaction into
+        blocks of at most max_block_txs; all peers commit each block, and
         then its transactions drop the decode they kept for the peers."""
         self.clock = self._next_clock(self.clock + self.orderer.tick_seconds if now is None else now)
         queue, self.pending = self.pending, []
@@ -398,20 +405,18 @@ def _scenario_salt(seed: bytes, index: int) -> str:
 
 def drive_scenario(script: dict | list) -> tuple[SimulatedNetwork, list[dict], list[dict]]:
     """Execute a timed action script; returns the driven network plus the
-    per-action and per-block logs.
+    per-action and per-block logs. An action at a negative tick is refused
+    with a ValueError before the network is built.
 
     A bare JSON list of {atTick, action, args} is accepted as shorthand for
     {"actions": [...]} with default network settings."""
-    net, action_log, block_log, _ = _drive(script)
-    return net, action_log, block_log
-
-
-def _drive(script: dict | list) -> tuple[SimulatedNetwork, list[dict], list[dict], list[int]]:
-    """`drive_scenario`, plus the commit latency in ticks of each committed
-    transaction, sorted. Identical transactions accepted at one clock share
-    a tx id, and each of them counts."""
     if isinstance(script, list):
         script = {"actions": script}
+    actions = list(script.get("actions", ()))
+    ticks = [int(entry.get("atTick", 0)) for entry in actions]
+    for entry, at in zip(actions, ticks):
+        if at < 0:
+            raise ValueError(f"scenario action {entry!r} is at negative tick {at}")
     seed = bytes.fromhex(script["seed"]) if "seed" in script else b"cveledger-scenario"
     genesis_time = int(script.get("genesisTime", 0))
     tick_seconds = int(script.get("tickSeconds", 1))
@@ -425,21 +430,17 @@ def _drive(script: dict | list) -> tuple[SimulatedNetwork, list[dict], list[dict
         ),
     )
     gov = net.governance_id
-    actions = list(script.get("actions", ()))
-    max_tick = max((int(a.get("atTick", 0)) for a in actions), default=-1)
 
     action_log: list[dict] = []
     block_log: list[dict] = []
-    submit_tick: dict[str, int] = {}  # tick of the last acceptance, per tx id
-    latencies: list[int] = []
     salt_counter = 0
 
-    def perform(entry: dict) -> dict:
+    def perform(entry: dict, tick_no: int) -> dict:
         nonlocal salt_counter
         kind = entry["action"]
         args = dict(entry.get("args", {}))
         caller = args.pop("caller", gov)
-        out: dict = {"atTick": int(entry.get("atTick", 0)), "action": kind}
+        out: dict = {"atTick": tick_no, "action": kind}
         if kind == "onboard":
             cna = args["cna"]
             cert = net.certs.get(cna)
@@ -471,17 +472,13 @@ def _drive(script: dict | list) -> tuple[SimulatedNetwork, list[dict], list[dict
             ]
         return out
 
-    for tick_no in range(max_tick + 1):
+    for tick_no in range(max(ticks, default=-1) + 1):
         now = genesis_time + tick_no * tick_seconds
         net.advance_clock(now)
-        for entry in actions:
-            if int(entry.get("atTick", 0)) == tick_no:
-                out = perform(entry)
-                action_log.append(out)
-                if out["ok"]:
-                    submit_tick[out["txId"]] = tick_no
+        for entry, at in zip(actions, ticks):
+            if at == tick_no:
+                action_log.append(perform(entry, tick_no))
         for block in net.tick(now):
-            latencies.extend(tick_no - submit_tick[tx.tx_id] for tx in block.txs)
             hashes = net.state_hashes()
             block_log.append(
                 {
@@ -493,42 +490,33 @@ def _drive(script: dict | list) -> tuple[SimulatedNetwork, list[dict], list[dict
                     "consistent": len(set(hashes.values())) == 1,
                 }
             )
-    return net, action_log, block_log, sorted(latencies)
+    return net, action_log, block_log
 
 
 def run_scenario(script: dict | list) -> dict:
     """Execute a timed action script and return a fully deterministic trace:
     per-action outcomes, per-block state hashes across peers, the event
-    log, and simulated-time throughput/latency statistics."""
-    if isinstance(script, list):
-        script = {"actions": script}
-    genesis_time = int(script.get("genesisTime", 0))
-    net, action_log, block_log, committed = _drive(script)
-
-    def pct(p: float) -> int:
-        if not committed:
-            return 0
-        return committed[min(len(committed) - 1, int(p * len(committed)))]
-
+    log, and simulated-time statistics read off the blocks cut. Under the
+    cut rule (`OrdererConfig`), `pendingTxs` and `latencyTicks` are 0 by
+    construction; they stay to keep the trace format."""
+    net, action_log, block_log = drive_scenario(script)
     reference = net.peers[0].state
-    simulated = max(net.clock - genesis_time, 0)
-    trace = {
+    committed = sum(block["txCount"] for block in block_log)
+    simulated = net.clock - net.chain[0].block_time
+    return {
         "actions": action_log,
         "blocks": block_log,
         "events": [e.to_dict() for e in reference.event_log],
         "failedTxs": list(reference.failed_txs),
         "finalStateHash": state_hash(reference),
         "stats": {
-            "committedTxs": len(committed),
+            "committedTxs": committed,
             "pendingTxs": len(net.pending),
             "simulatedSeconds": simulated,
-            "txPerSimulatedSecond": (
-                round(len(committed) / simulated, 6) if simulated else 0.0
-            ),
-            "latencyTicks": {"p50": pct(0.50), "p95": pct(0.95), "max": committed[-1] if committed else 0},
+            "txPerSimulatedSecond": round(committed / simulated, 6) if simulated else 0.0,
+            "latencyTicks": {"p50": 0, "p95": 0, "max": 0},
         },
     }
-    return trace
 
 
 def trace_json(trace: dict) -> str:

@@ -354,8 +354,8 @@ class Node:
 
     def tick(self, now: int | None = None) -> dict:
         """Advance the chain clock and run the embargo sweep. The ids it
-        released are read off the events the sweep's block appended to the
-        log, so no event before them is read."""
+        released are read off the events appended after `before`, which all
+        come from the one block `_append` cut."""
         if now is not None:
             self.net.advance_clock(int(now))
         else:
@@ -364,10 +364,7 @@ class Node:
         before = len(log)
         out = self._commit(OP_CHECK_EMBARGO, {})
         out["clockNow"] = self.net.clock
-        tip = self.net.chain[-1].height
-        out["released"] = [
-            e.payload["cveID"] for e in log[before:] if e.kind == "EmbargoReleased" and e.block_height == tip
-        ]
+        out["released"] = [e.payload["cveID"] for e in log[before:] if e.kind == "EmbargoReleased"]
         return out
 
     # -- reads --------------------------------------------------------------------

@@ -72,6 +72,17 @@ class TestLifecycleCommands:
         assert code == 0 and out[0]["status"] == "PUBLISHED"
         assert out[0]["description"] == RECORD["description"]
 
+    def test_one_tick_releases_two_drafts_in_id_order_and_the_next_none(self, tmp_path, data_dir, capsys):
+        onboard_redhat(capsys, data_dir, tmp_path)
+        for cve_id, embargo in (("CVE-2025-0002", "1400"), ("CVE-2025-0001", "1500")):
+            rec = write_record(tmp_path, dict(RECORD, cveID=cve_id))
+            code, out, _ = run_cli(capsys, "--data-dir", str(data_dir), "submit", rec, "--embargo", embargo)
+            assert code == 0 and out["status"] == "DRAFT"
+        code, out, _ = run_cli(capsys, "--data-dir", str(data_dir), "tick", "--now", "1500")
+        assert code == 0 and out["released"] == ["CVE-2025-0001", "CVE-2025-0002"]
+        code, out, _ = run_cli(capsys, "--data-dir", str(data_dir), "tick")
+        assert code == 0 and out["released"] == [] and out["clockNow"] == 1501
+
     def test_submit_without_embargo_publishes(self, tmp_path, data_dir, capsys):
         onboard_redhat(capsys, data_dir, tmp_path)
         code, out, _ = run_cli(capsys, "--data-dir", str(data_dir), "submit", write_record(tmp_path))

@@ -63,6 +63,8 @@ BAD_FILES = [
     (CONFIG_FILE, "[]"),
     (CONFIG_FILE, '{"ordererConfig": []}'),
     (CONFIG_FILE, '{"caKeyPath": 5}'),
+    (CONFIG_FILE, '{"ordererConfig": {"maxBlockTxs": 0}}'),  # a block holds at least one transaction
+    (CONFIG_FILE, '{"ordererConfig": {"maxBlockTxs": -1}}'),
     (CONFIG_FILE, "{"),
     (f"{KEYS_DIR}/cna.redhat.json", '{"publicKey": "00"}'),
     (f"{KEYS_DIR}/cna.redhat.json", '{"seedHex": "zz"}'),

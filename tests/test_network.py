@@ -262,6 +262,21 @@ class TestScenarios:
         trace = run_scenario(SUBMISSION_FLOW)
         assert trace["stats"]["latencyTicks"]["max"] <= 2
 
+    @pytest.mark.parametrize(
+        "actions",
+        [
+            [{"atTick": -1, "action": "bogus"}],
+            [
+                {"atTick": -1, "action": "onboard", "args": {"cna": "cna.a"}},
+                {"atTick": 0, "action": "onboard", "args": {"cna": "cna.b"}},
+            ],
+        ],
+    )
+    def test_an_action_at_a_negative_tick_is_refused_by_name(self, actions):
+        with pytest.raises(ValueError, match="negative tick -1") as refused:
+            run_scenario(actions)
+        assert repr(actions[0]) in str(refused.value)
+
     def test_scripted_mixed_run_consistent(self):
         actions = [
             {"atTick": 0, "action": "onboard", "args": {"cna": "cna.redhat"}},
