@@ -326,6 +326,36 @@ def split_lines(data: bytes) -> tuple[list[bytes], bytes]:
     return (complete.split(b"\n") if complete else []), tail
 
 
+class LedgerLines(Sequence):
+    """The lines of the ledger bytes `data` as `split_lines` frames them,
+    `tail` being what follows the last newline. Only the bytes after
+    `offset` are split up front. The `count` lines that end at `offset`
+    are framed when one is indexed: genesis and the tip (the line that ends
+    at `offset`) on their own, any other by splitting the prefix once."""
+
+    def __init__(self, data: bytes, offset: int = 0, count: int = 0):
+        complete, sep, self.tail = data[offset:].rpartition(b"\n")
+        # past `offset` a lone newline ends an empty line; a ledger that is one holds none
+        self._after = complete.split(b"\n") if complete or (sep and offset) else []
+        self._data, self._offset, self._count = (data if count else b""), offset, count
+        self._prefix: list[bytes] | None = None
+
+    def __len__(self) -> int:
+        return self._count + len(self._after)
+
+    def __getitem__(self, index: int) -> bytes:
+        index = range(len(self))[index]
+        if index >= self._count:
+            return self._after[index - self._count]
+        if index == 0:
+            return self._data[: self._data.index(b"\n")]
+        if index == self._count - 1:
+            return self._data[self._data.rfind(b"\n", 0, self._offset - 1) + 1 : self._offset - 1]
+        if self._prefix is None:
+            self._prefix = self._data[: self._offset - 1].split(b"\n")
+        return self._prefix[index]
+
+
 class LineChain(Sequence):
     """A chain whose first blocks are kept as their ledger lines, each
     decoded only when it is indexed: what `storage.load_ledger` returns,
@@ -333,7 +363,7 @@ class LineChain(Sequence):
     `chain + blocks` is a new LineChain that shares those lines, so
     `append_block` copies only the blocks after them."""
 
-    def __init__(self, lines: list[bytes], blocks: list[Block] | None = None):
+    def __init__(self, lines: Sequence[bytes], blocks: list[Block] | None = None):
         self._lines = lines
         self._blocks = blocks or []
 
@@ -557,11 +587,13 @@ class ChainAuditor:
     counts as corruption.
 
     An audit may resume where an earlier one of the same first lines
-    ended: `start` is the context dict that audit returned. The trust
-    anchors are then read from the genesis line, and every later line runs
-    through the same loop and checks as in a full audit, which is that loop
-    started before genesis. Whether those first lines are still the ones
-    verified is the caller's to know (`storage.audit_file` digests them).
+    ended: `start` is the context dict that audit returned, plus the
+    `offset` its last line ends at. Of the lines before, only that one and
+    genesis, which holds the trust anchors, are framed and decoded; every
+    later line runs through the same loop and checks as in a full audit,
+    which is that loop started before genesis. Whether those first lines
+    are still the ones verified is the caller's to know
+    (`storage.audit_file` digests them).
 
     Verdicts are cached on `(prev_hash, sha256(line))`: the hash that
     commits the line's context, and the line. The cache is only consulted
@@ -583,18 +615,18 @@ class ChainAuditor:
     def audit(self, data: bytes, start: dict | None = None) -> tuple[AuditReport, dict | None]:
         """The report on `data`, and for a valid one the context dict to
         resume from once more lines are appended. A `start` that is not the
-        context after the block on its height's line, or names no line of
-        `data`, raises ValueError."""
-        lines, tail = split_lines(data)
-        if tail:
+        context after the block on the line that ends at its `offset`
+        raises ValueError."""
+        if start is None:
+            lines = LedgerLines(data)
+            ctx, trust = _VerifyContext(), None  # trust is read from the genesis line
+        else:
+            lines, ctx, trust = _resume(data, start)
+        if lines.tail:
             return AuditReport(valid=False, first_bad_height=len(lines), reason=HASH_MISMATCH), None
         if not lines:
             return AuditReport(valid=False, first_bad_height=0, reason=HASH_MISMATCH), None
 
-        if start is None:
-            ctx, trust = _VerifyContext(), None  # trust is read from the genesis line
-        else:
-            ctx, trust = _resume(lines, start)
         for index in range(ctx.height + 1, len(lines)):
             line = lines[index]
             key = (ctx.prev_hash, sha256_hex(line))
@@ -619,19 +651,21 @@ class ChainAuditor:
         return reason, exported, block.block_hash, block.block_time, trust
 
 
-def _resume(lines: list[bytes], start: dict) -> tuple[_VerifyContext, TrustAnchors]:
-    """The context and trust anchors to audit the lines after `start`'s
-    height with. ValueError unless that height's line is the block whose
-    hash and time `start` holds, and the genesis line holds the anchors."""
+def _resume(data: bytes, start: dict) -> tuple[LedgerLines, _VerifyContext, TrustAnchors]:
+    """The lines of `data` split after `start`'s `offset`, and the context
+    and trust anchors to audit the lines after it with. ValueError unless
+    the line that ends at `offset` is the block whose height, hash and time
+    `start` holds, and the genesis line holds the anchors."""
     try:
         ctx = _VerifyContext.from_dict(start)
+        lines = LedgerLines(data, typed(start["offset"], int, "offset"), ctx.height + 1)
         tip = parse_line(lines[ctx.height])
         trust = TrustAnchors.from_genesis(parse_line(lines[0]))
     except (IndexError, KeyError, LedgerCorrupt) as exc:
         raise ValueError(f"no block to resume after: {exc!r}") from None
     if (tip.height, tip.block_hash, tip.block_time) != (ctx.height, ctx.prev_hash, ctx.prev_time):
         raise ValueError(f"the block at height {ctx.height} is not the one the audit ended on")
-    return ctx, trust
+    return lines, ctx, trust
 
 
 def verify_chain(chain: list[Block]) -> AuditReport:

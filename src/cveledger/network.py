@@ -62,7 +62,8 @@ DEFAULT_GOVERNANCE = "gov.root"
 @dataclass(frozen=True)
 class OrdererConfig:
     """The cut rule: blocks of at most `max_block_txs` (at least 1), and each
-    `SimulatedNetwork.tick` cuts every pending transaction."""
+    `SimulatedNetwork.tick` cuts every pending transaction; a tick without
+    a time moves the clock on by `tick_seconds` (at least 1)."""
 
     max_block_txs: int = 100
     tick_seconds: int = 1
@@ -70,6 +71,8 @@ class OrdererConfig:
     def __post_init__(self) -> None:
         if self.max_block_txs < 1:
             raise ValueError(f"maxBlockTxs must be at least 1, not {self.max_block_txs}")
+        if self.tick_seconds < 1:
+            raise ValueError(f"tickSeconds must be at least 1, not {self.tick_seconds}")
 
     def to_dict(self) -> dict:
         return {"maxBlockTxs": self.max_block_txs, "tickSeconds": self.tick_seconds}

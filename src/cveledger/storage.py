@@ -30,10 +30,11 @@ reader treat the file differently on purpose:
 The checkpoint and the watermark are sidecars, caches beside the ledger
 that share one header line: `offset` and `prefixSha256`, the length and
 sha256 of the ledger prefix they cover, and `height` and `tipHash`, its
-last block. `_read_sidecar` trusts one only while `offset` ends the line
-at `height`, that block hashes to `tipHash`, and the first `offset` bytes
-still hash to `prefixSha256`. Neither is fsynced: a stale, torn or foreign
-one only costs the full path, and deleting one forces it.
+last block. `_read_sidecar` trusts one only while the line that ends at
+`offset` is the block at `height`, that block hashes to `tipHash`, and the
+first `offset` bytes still hash to `prefixSha256`; a reader that trusts one
+splits only the lines after `offset`. Neither is fsynced: a stale, torn or
+foreign one only costs the full path, and deleting one forces it.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .ledger import (
     AuditReport,
     Block,
     ChainAuditor,
+    LedgerLines,
     LineChain,
     block_line,
     checked_block,
@@ -200,11 +202,12 @@ def load_ledger(
     warned about) and decodes and replays every line. A trusted checkpoint
     is loaded by `ledger.state_from_snapshot`, which decodes its summary
     and its drafts and leaves every other record and event a line until it
-    is read; the lines after `offset` are then decoded and replayed onto
-    that state. Either way the chain is a `LineChain` that keeps the lines
-    and decodes a block only when it is indexed. A trailing line without
-    its newline is treated as `read_chain` with `recover` treats it, and
-    `repair` fixes the file the same way once everything else has loaded.
+    is read; only the lines after `offset` are then split, decoded and
+    replayed onto that state. Either way the chain is a `LineChain` over
+    `ledger.LedgerLines`, which frames a covered line and decodes a block
+    only when it is indexed. A trailing line without its newline is
+    treated as `read_chain` with `recover` treats it, and `repair` fixes
+    the file the same way once everything else has loaded.
 
     Threat model: as for the audit watermark, an edit of the ledger file
     alone is refused at the height the audit reports HASH_MISMATCH at.
@@ -217,21 +220,22 @@ def load_ledger(
     path = Path(path)
     data = path.read_bytes()
     size = len(data)
-    lines, tail = split_lines(data)
     found = _read_checkpoint(path, data) if checkpoint else None
     height, tip, state, digest = found or (-1, ZERO_HASH, WorldState(), LedgerDigest())
+    lines = LedgerLines(data, digest.size, height + 1)
+    tail = lines.tail
     digest.update(memoryview(data)[digest.size : size - len(tail)])
-    del data  # the lines hold the same bytes, and the chain keeps them
+    del data  # the lines keep what of it they frame lazily
     for index in range(height + 1, len(lines)):
         tip = commit_block(state, tip, checked_block(index, lines[index], tip))
     block = _tail_block(len(lines), tail, recover=True)
     if block is not None:
-        commit_block(state, tip, checked_block(len(lines), tail, tip))
-        lines.append(tail)
+        block = checked_block(len(lines), tail, tip)
+        commit_block(state, tip, block)
         digest.update(tail + b"\n")
     if repair:
         _repair_tail(path, size, tail, block)
-    return LineChain(lines), state, digest
+    return LineChain(lines, [block] if block else None), state, digest
 
 
 def _read_checkpoint(path: Path, data: bytes) -> tuple[int, str, WorldState, LedgerDigest] | None:
@@ -312,7 +316,8 @@ def audit_file(path: Path) -> AuditReport:
     it only if `_read_sidecar` does and `ChainAuditor.audit` accepts that
     context; it then resumes after `height`, runs every check on every
     later line, and extends the digest of the covered prefix that the
-    header check computed, so each ledger byte is hashed once. Otherwise it
+    header check computed, so each ledger byte is hashed once and only
+    genesis and the tip of the covered prefix are decoded. Otherwise it
     audits from genesis and logs a warning (a missing watermark is a first
     audit, and is not warned about). A watermark that cannot be written is
     logged and skipped.
@@ -345,8 +350,10 @@ def audit_file(path: Path) -> AuditReport:
 def _read_sidecar(mark: Path, data: bytes, log: logging.Logger, what: str, check: Callable):
     """(`check(header, body)`, the digest of the covered prefix) if the
     sidecar `mark` still describes a prefix of the ledger `data`: its
-    header's `offset` ends the line at `height`, whose block hashes to
-    `tipHash`, and the first `offset` bytes hash to `prefixSha256`. Else
+    header's `offset` ends a line, that line is the block at `height` (its
+    hash commits its height), it hashes to `tipHash`, and the first
+    `offset` bytes hash to `prefixSha256`: one decode and one sha256 at any
+    height. Else
     None, with a warning on `log` unless there is no sidecar. `body` is the
     lines after the header, the last being what follows the final newline;
     `check` refuses the sidecar by raising what this catches."""
@@ -356,9 +363,10 @@ def _read_sidecar(mark: Path, data: bytes, log: logging.Logger, what: str, check
         offset, height = typed(header["offset"], int, "offset"), typed(header["height"], int, "height")
         if not 0 < offset <= len(data) or data[offset - 1] != ord("\n"):
             raise ValueError(f"offset {offset} does not end a line of the ledger")
-        if data.count(b"\n", 0, offset) != height + 1:
-            raise ValueError(f"offset {offset} does not end the line of its height")
-        if parse_line(data[data.rfind(b"\n", 0, offset - 1) + 1 : offset - 1]).block_hash != header["tipHash"]:
+        tip = parse_line(data[data.rfind(b"\n", 0, offset - 1) + 1 : offset - 1])
+        if tip.height != height:
+            raise ValueError(f"offset {offset} does not end the line of the block at height {height}")
+        if tip.block_hash != header["tipHash"]:
             raise ValueError(f"tipHash is not the hash of the block at height {height}")
         sha = hashlib.sha256(memoryview(data)[:offset])
         if sha.hexdigest() != header["prefixSha256"]:
