@@ -136,7 +136,10 @@ class WorldState:
     `query_index`, so replay and ingest never pay for it, and `store` drops
     it, so a reader that holds an index holds one that nothing edits.
     `ledger.query_public` scans the lines of a checkpoint-loaded state
-    instead, where building it decodes every record.
+    instead, where building it decodes every record. `_answers` memoizes
+    the row bytes `query_public` answers a one-key filter with, read off
+    one index at one clock (`query_answers`); `store` drops it with the
+    index.
 
     A state built by replay holds a plain `dict` registry and `list` event
     log. A state loaded from a checkpoint (`ledger.state_from_snapshot`)
@@ -162,6 +165,7 @@ class WorldState:
         self._event_seq: int = 0
         self._embargo_heap: list[tuple[int, int, int]] = []
         self._index: dict[tuple[str, object], list[CveRecord]] | None = None
+        self._answers: tuple[dict, int, dict] | None = None  # (index, clock, key -> rows)
         self._dry_run = False
 
     def begin_block(self, height: int, block_time: int) -> None:
@@ -209,9 +213,10 @@ class WorldState:
         """Put records into the registry under their ids and emit one event.
         Keeps each year's id counter at least at its highest stored
         sequence, pushes every stored DRAFT onto the embargo heap and drops
-        the query index, which the next `query_index` rebuilds."""
+        the query index, which the next `query_index` rebuilds, and the
+        answers read off it."""
         self._write()
-        self._index = None
+        self._index = self._answers = None
         for record in records:
             cid = record.cve_id
             self.cve_registry[cid] = record
@@ -315,6 +320,16 @@ class WorldState:
                     index.setdefault(key, []).append(record)
             self._index = index
         return index
+
+    def query_answers(self, index: dict, clock: int) -> dict:
+        """The memo of answers read off `index` at `clock`, `(field, value)
+        -> rows`; a new, empty one once the index was dropped or the clock
+        moved, which may withhold or release content. A reader whose index
+        a `store` dropped fills a memo that no later reader gets."""
+        memo = self._answers
+        if memo is None or memo[0] is not index or memo[1] != clock:
+            memo = self._answers = (index, clock, {})
+        return memo[2]
 
     def to_dict(self) -> dict:
         """Canonical snapshot (internal form: committed drafts keep their

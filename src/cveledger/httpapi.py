@@ -6,7 +6,9 @@ including raw block responses: submission payloads of still-embargoed
 records are served with their content fields replaced by the commitment
 hash. Record views are served from the canonical bytes each record keeps
 (`ledger.record_view_bytes`); a list body is its rows joined, byte for
-byte the canonical encoding of the views as dicts.
+byte the canonical encoding of the views as dicts. A one-filter list is
+read back from `query_public`'s memo once asked, and each event's view is
+encoded once (`QueryService.event_view`).
 
 Each connection is answered at once on a kept handler thread
 (`_KeptThreadServer`), so a request seldom pays for a thread start.
@@ -15,6 +17,7 @@ Each connection is answered at once on a kept handler thread
 from __future__ import annotations
 
 import queue
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -30,6 +33,16 @@ from .records import CveStatus, parse_cve_id
 from .storage import audit_file
 
 _CVE_FILTERS = {"status", "product", "year", "submitter", "id"}
+# a number in a path or query string is ASCII digits after an optional minus;
+# `int()` would also take "+4", " 3 ", "1_0" and non-ASCII digits
+_INT_FULLMATCH = re.compile(r"-?[0-9]+").fullmatch
+
+
+def _number(text: str) -> int:
+    """The integer `text` spells, or the ValueError `int()` raises for text it refuses."""
+    if _INT_FULLMATCH(text) is None:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
 
 
 def redacted_block_dict(block: Block, state: WorldState) -> dict:
@@ -71,6 +84,17 @@ class QueryService:
         self.state = state
         self.chain = chain
         self.ledger_path = Path(ledger_path)
+        self._event_views: dict[int, bytes] = {}
+
+    def event_view(self, index: int) -> bytes:
+        """The canonical bytes of the event at `index` with its index, as
+        `/v1/events` serves it, encoded on first use. The log only grows, so
+        an index names one event for good."""
+        view = self._event_views.get(index)
+        if view is None:
+            view = to_canonical_bytes(dict(self.state.event_log[index].to_dict(), index=index))
+            self._event_views[index] = view
+        return view
 
     def audit_report(self) -> dict:
         return audit_file(self.ledger_path).to_dict()
@@ -148,7 +172,7 @@ class _Handler(BaseHTTPRequestHandler):
             if "status" in query:
                 filters["status"] = CveStatus(query["status"][0])
             if "year" in query:
-                filters["year"] = int(query["year"][0])
+                filters["year"] = _number(query["year"][0])
             if "id" in query:
                 filters["cve_id"] = parse_cve_id(query["id"][0])
             if "product" in query:
@@ -162,7 +186,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _block(self, service, height_text: str):
         try:
-            height = int(height_text)
+            height = _number(height_text)
         except ValueError:
             return self._error(400, f"bad height: {height_text}")
         if height < 0 or height >= len(service.chain):
@@ -173,13 +197,12 @@ class _Handler(BaseHTTPRequestHandler):
         since = 0
         if "since" in query:
             try:
-                since = int(query["since"][0])
+                since = _number(query["since"][0])
             except ValueError:
                 return self._error(400, f"bad since: {query['since'][0]}")
-        log = service.state.event_log
-        start = max(since, 0)
-        events = [dict(e.to_dict(), index=i) for i, e in enumerate(log[start:], start)]
-        self._send(200, {"events": events, "next": len(log)})
+        end = len(service.state.event_log)
+        views = b",".join(map(service.event_view, range(max(since, 0), end)))
+        self._send_body(200, b'{"events":[%s],"next":%d}' % (views, end))
 
     def do_POST(self):
         self._error(405, "read-only service")

@@ -1050,7 +1050,12 @@ def query_public(
     below decide every one, withheld content included. On a
     checkpoint-loaded state, as in a one-shot `cveledger query`,
     `SnapshotRegistry.scan` of all the filters picks them instead, so only
-    the lines it takes are decoded and no index is built."""
+    the lines it takes are decoded and no index is built.
+
+    The rows of `record_view_bytes` for one filter whose key the index
+    holds are kept in `state.query_answers`, so a repeated request reads
+    them back; a key the index lacks is not kept, so unknown values
+    cannot grow the memo."""
     if view is None:
         view = record_view
     now = state.clock_now
@@ -1060,6 +1065,7 @@ def query_public(
         for f, v in (("status", status), ("submitter", submitter), ("product", product), ("year", year))
         if v is not None
     ]
+    answers = None
     if cve_id is not None:
         candidates = [registry[cve_id]] if cve_id in registry else []
     elif isinstance(registry, SnapshotRegistry):
@@ -1067,6 +1073,11 @@ def query_public(
     elif keys:
         index = state.query_index()
         candidates = min((index.get(key, ()) for key in keys), key=len)
+        if view is record_view_bytes and len(keys) == 1 and keys[0] in index:
+            answers = state.query_answers(index, now)
+            rows = answers.get(keys[0])
+            if rows is not None:
+                return list(rows)
     else:
         index = state.query_index()
         years = sorted(key for key in index if key[0] == "year")
@@ -1085,4 +1096,6 @@ def query_public(
         if product is not None and (is_content_withheld(record, now) or record.product != product):
             continue
         out.append(view(record, now))
+    if answers is not None:
+        answers[keys[0]] = tuple(out)
     return out

@@ -408,28 +408,32 @@ def _scenario_salt(seed: bytes, index: int) -> str:
 
 def drive_scenario(script: dict | list) -> tuple[SimulatedNetwork, list[dict], list[dict]]:
     """Execute a timed action script; returns the driven network plus the
-    per-action and per-block logs. An action at a negative tick is refused
-    with a ValueError before the network is built.
+    per-action and per-block logs. An action at a negative tick, and a
+    number (`atTick`, `genesisTime`, `tickSeconds`, `peers`, `maxBlockTxs`,
+    an action's `embargoTicks`) that is not a JSON integer, are refused
+    with a ValueError naming it before the network is built.
 
     A bare JSON list of {atTick, action, args} is accepted as shorthand for
     {"actions": [...]} with default network settings."""
     if isinstance(script, list):
         script = {"actions": script}
     actions = list(script.get("actions", ()))
-    ticks = [int(entry.get("atTick", 0)) for entry in actions]
+    ticks = [typed(entry.get("atTick", 0), int, "atTick") for entry in actions]
     for entry, at in zip(actions, ticks):
         if at < 0:
             raise ValueError(f"scenario action {entry!r} is at negative tick {at}")
+        if "embargoTicks" in entry.get("args", {}):
+            typed(entry["args"]["embargoTicks"], int, "embargoTicks")
     seed = bytes.fromhex(script["seed"]) if "seed" in script else b"cveledger-scenario"
-    genesis_time = int(script.get("genesisTime", 0))
-    tick_seconds = int(script.get("tickSeconds", 1))
+    genesis_time = typed(script.get("genesisTime", 0), int, "genesisTime")
+    tick_seconds = typed(script.get("tickSeconds", 1), int, "tickSeconds")
     net = SimulatedNetwork(
-        n_peers=int(script.get("peers", 3)),
+        n_peers=typed(script.get("peers", 3), int, "peers"),
         policy=EndorsementPolicy.from_dict(script["policy"]) if "policy" in script else None,
         seed=seed,
         genesis_time=genesis_time,
         orderer=OrdererConfig(
-            max_block_txs=int(script.get("maxBlockTxs", 100)), tick_seconds=tick_seconds
+            max_block_txs=typed(script.get("maxBlockTxs", 100), int, "maxBlockTxs"), tick_seconds=tick_seconds
         ),
     )
     gov = net.governance_id
@@ -455,7 +459,7 @@ def drive_scenario(script: dict | list) -> tuple[SimulatedNetwork, list[dict], l
         elif kind == "submit":
             record = dict(args["record"])
             if "embargoTicks" in args:
-                record["embargoUntil"] = genesis_time + int(args["embargoTicks"]) * tick_seconds
+                record["embargoUntil"] = genesis_time + args["embargoTicks"] * tick_seconds
             salt = args.get("salt")
             if salt is None and record.get("embargoUntil") is not None:
                 salt = _scenario_salt(seed, salt_counter)

@@ -106,9 +106,9 @@ def _key_file(key: KeyPair) -> dict:
 
 def read_json_file(path: str | Path, kind: type = dict, parse=None):
     """The JSON value of type `kind` in `path`, passed through `parse` when
-    one is given. A missing file, bad JSON (nesting too deep included),
-    another type, or a value that `parse` cannot take raises a LedgerError
-    naming the file."""
+    one is given. A missing or unreadable file (a directory, say), bad JSON
+    (nesting too deep included), another type, or a value that `parse`
+    cannot take raises a LedgerError naming the file."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(obj, kind):
@@ -116,6 +116,8 @@ def read_json_file(path: str | Path, kind: type = dict, parse=None):
         return obj if parse is None else parse(obj)
     except FileNotFoundError:
         raise LedgerError(f"file not found: {path}") from None
+    except OSError as exc:
+        raise LedgerError(f"cannot read {path}: {exc.strerror or exc!r}") from None
     except (AttributeError, KeyError, RecursionError, TypeError, ValueError, LedgerError) as exc:
         raise LedgerError(f"malformed {path}: {exc!r}") from None
 

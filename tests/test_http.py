@@ -90,6 +90,14 @@ def list_service(tmp_path_factory):
     server.server_close()
 
 
+def not_ascii_integers(digits: str) -> list[str]:
+    """Query-string spellings of the number `digits` that `int()` reads but
+    the service refuses: a plus (escaped, and raw, which a query string
+    reads as a space), padding, an underscore, and Arabic-Indic digits."""
+    arabic = urllib.parse.quote("".join(chr(0x660 + int(d)) for d in digits))
+    return ["%2B" + digits, "+" + digits, f"%20{digits}%20", "0_" + digits, arabic, "-" + arabic]
+
+
 def get(base: str, route: str):
     try:
         with urllib.request.urlopen(base + route) as resp:
@@ -154,6 +162,10 @@ class TestEndpoints:
         assert get(base, "/v1/cve?status=NOPE")[0] == 400
         assert get(base, "/v1/cve?year=abc")[0] == 400
         assert get(base, "/v1/cve?bogus=1")[0] == 400
+        assert get(base, "/v1/cve?year=2025")[0] == 200
+        # a number is ASCII digits after an optional minus: `int()` would take each of these as 2025
+        for year in not_ascii_integers("2025"):
+            assert get(base, f"/v1/cve?year={year}")[0] == 400, year
 
     def test_raw_block_served(self, service):
         base, _, net = service
@@ -166,6 +178,8 @@ class TestEndpoints:
         base, _, net = service
         assert get(base, f"/v1/blocks/{len(net.chain)}")[0] == 404
         assert get(base, "/v1/blocks/abc")[0] == 400
+        for height in ("+1", "0_1", "01_0"):  # the path is not unquoted, so no space or non-ASCII digit reaches it
+            assert get(base, f"/v1/blocks/{height}")[0] == 400, height
 
     def test_embargoed_block_content_redacted(self, service):
         base, _, net = service
@@ -199,6 +213,8 @@ class TestEndpoints:
         assert status == 200 and len(sliced["events"]) == 1
         assert sliced["events"][0]["index"] == body["next"] - 1
         assert get(base, "/v1/events?since=xyz")[0] == 400
+        for since in not_ascii_integers("1"):
+            assert get(base, f"/v1/events?since={since}")[0] == 400, since
 
     def test_events_since_edges_match_full_walk(self, service):
         base, _, net = service

@@ -109,3 +109,32 @@ def test_a_crl_file_of_an_older_data_dir_is_never_read(data_dir, capsys, content
     assert main(["--data-dir", str(data_dir), "revoke", "cna.redhat"]) == 0
     assert json.loads(capsys.readouterr().out)["crlVersion"] == 1
     assert (data_dir / LEDGER_FILE).read_bytes() != ledger
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda where: ["submit", str(where)],
+        lambda where: ["onboard", "cna.x", str(where)],
+        lambda where: ["merge", "CVE-2025-0001", "CVE-2025-0002", "--meta", str(where)],
+    ],
+    ids=["submit", "onboard", "merge"],
+)
+def test_an_input_path_that_is_a_directory_is_refused_by_name(tmp_path, data_dir, capsys, argv):
+    where = tmp_path / "not-a-file"
+    where.mkdir()
+    ledger = (data_dir / LEDGER_FILE).read_bytes()
+    code, err = run_cli(capsys, data_dir, *argv(where))
+    assert code == 1 and err["error"] == "LedgerError" and str(where) in err["message"], err
+    assert (data_dir / LEDGER_FILE).read_bytes() == ledger
+
+
+def test_a_directory_among_the_key_files_is_refused_by_name(data_dir, capsys):
+    (data_dir / KEYS_DIR / "evil.json").mkdir()
+    ledger = (data_dir / LEDGER_FILE).read_bytes()
+    with pytest.raises(LedgerError, match="evil.json"):
+        Node.open(data_dir)
+    for argv in (["tick"], ["revoke", "cna.redhat"]):
+        code, err = run_cli(capsys, data_dir, *argv)
+        assert code == 1 and err["error"] == "LedgerError" and "evil.json" in err["message"], err
+    assert (data_dir / LEDGER_FILE).read_bytes() == ledger

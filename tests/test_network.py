@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from cveledger import network
 from cveledger.identity import ROLE_READER, sign_payload
 from cveledger.ledger import EndorsementPolicy, append_block, verify_chain
 from cveledger.network import Refusal, SimulatedNetwork, run_scenario, trace_json
@@ -276,6 +277,24 @@ class TestScenarios:
         with pytest.raises(ValueError, match="negative tick -1") as refused:
             run_scenario(actions)
         assert repr(actions[0]) in str(refused.value)
+
+    @pytest.mark.parametrize("value", [1.5, "2", True])
+    @pytest.mark.parametrize("field", ["atTick", "embargoTicks", "genesisTime", "tickSeconds", "peers", "maxBlockTxs"])
+    def test_a_number_that_is_not_a_json_integer_is_refused_by_name(self, monkeypatch, field, value):
+        record = {"cveID": "CVE-2025-0001", "submitterCNA": "cna.a"}
+        submit = {"atTick": 1, "action": "submit", "args": {"record": record, "embargoTicks": 2}}
+        script = {"actions": [{"atTick": 0, "action": "onboard", "args": {"cna": "cna.a"}}, submit]}
+        if field in ("atTick", "embargoTicks"):
+            (submit if field == "atTick" else submit["args"])[field] = value
+        else:
+            script[field] = value
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("the network was built")
+
+        monkeypatch.setattr(network, "SimulatedNetwork", no_network)
+        with pytest.raises(ValueError, match=field):
+            run_scenario(script)
 
     def test_scripted_mixed_run_consistent(self):
         actions = [
