@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 
+from .canonical import NON_NEGATIVE, bounded
 from .identity import ROLE_CNA
 from .ledger import state_hash
 from .network import OrdererConfig, SimulatedNetwork
@@ -32,8 +33,7 @@ def _bench_record(seq: int, submitter: str) -> dict:
 def bench(tx_count: int, peer_count: int = 3) -> dict:
     """Drive tx_count submissions across a peer_count network and report
     throughput plus p50/p95 latency in milliseconds."""
-    if tx_count < 0:
-        raise ValueError(f"cannot benchmark {tx_count} transactions")
+    bounded(tx_count, NON_NEGATIVE, lambda n: ValueError(f"cannot benchmark {n} transactions"))
     net = SimulatedNetwork(
         n_peers=peer_count,
         seed=SEED,

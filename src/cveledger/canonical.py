@@ -3,6 +3,11 @@
 Every byte that feeds a hash (transaction payloads, block headers, state
 snapshots) is produced here, so digests are reproducible across replays,
 peers, and process restarts.
+
+Every integer from outside (a CLI option, an HTTP path or query string, a
+`config.json` or scenario field, a decoded block or certificate) is read
+here by one rule: `number` is its one spelling, and `bounded` checks it
+against one row of the range table (`U64`, `COUNT`, `PORT`, `NON_NEGATIVE`).
 """
 
 from __future__ import annotations
@@ -14,8 +19,17 @@ from typing import Any, Callable
 
 ZERO_HASH = "0" * 64
 
-# explicit ASCII class: `\d` would also match non-ASCII digits
+# explicit ASCII classes: `\d` would also match non-ASCII digits
 _HEX_FULLMATCH = re.compile(r"[0-9a-f]*").fullmatch
+# `int()` would also take "+4", " 3 ", "1_0" and non-ASCII digits
+_INT_FULLMATCH = re.compile(r"-?[0-9]+").fullmatch
+
+# The range table, (least, greatest) with None for no bound: every integer
+# from outside lies in one of these rows.
+U64 = (0, 2**64 - 1)  # a clock, a certificate serial or a certificate time
+COUNT = (1, None)  # peers, transactions, a block's size, a tick's step
+PORT = (0, 65535)
+NON_NEGATIVE = (0, None)
 
 
 # built once: `json.dumps` with these options builds an encoder per call,
@@ -75,6 +89,23 @@ def typed(value: Any, kind, name: str) -> Any:
     coerced; each decode boundary turns a ValueError into its refusal."""
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} may not be a {type(value).__name__}")
+    return value
+
+
+def number(text: str) -> int:
+    """The integer `text` spells as ASCII digits after an optional minus, or
+    the ValueError `int()` raises for text it refuses."""
+    if _INT_FULLMATCH(text) is None:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+def bounded(value: int, row: tuple, error: Callable[[Any], Exception]) -> int:
+    """`value` if it is an int, not a bool, within `row` of the range table;
+    else `error(value)`, the caller's own refusal."""
+    least, greatest = row
+    if type(value) is not int or value < least or (greatest is not None and value > greatest):
+        raise error(value)
     return value
 
 

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .bench import bench
-from .canonical import to_canonical_json
+from .canonical import COUNT, bounded, number, to_canonical_json
 from .decision import DecisionInputs, decide_architecture
 from .errors import LedgerError
 from .identity import ROLE_CNA, ROLE_GOVERNANCE, ROLE_READER
@@ -60,11 +60,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def positive_int(text: str) -> int:
-    """`text` as an int of at least 1; else a ValueError, which argparse reports as a usage error."""
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"{value} is less than 1")
-    return value
+    """`text` as a `COUNT`; else a ValueError, which argparse reports as a usage error."""
+    return bounded(number(text), COUNT, ValueError)
 
 
 def _arg(*flags, **kwargs) -> tuple:
@@ -153,9 +150,8 @@ def _serve(args, data_dir) -> None:
 
 
 def _issue(args, node) -> dict:
-    cert = node.issue(args.participant, args.role)
     out_path = Path(args.out or f"{args.participant}.cert.json")
-    out_path.write_text(to_canonical_json(cert.to_dict()) + "\n", encoding="utf-8")
+    cert = node.issue(args.participant, args.role, out_path)
     return {
         "subject": cert.subject,
         "role": cert.role,
@@ -181,7 +177,7 @@ def _merge(args, node) -> dict:
 
 COMMANDS = {c.name: c for c in (
     _Command("init", "create CA, genesis block, bootstrap governance", (
-        _arg("--now", type=int, default=None, help="genesis block time (unix seconds)"),
+        _arg("--now", type=number, default=None, help="genesis block time (unix seconds)"),
         _arg("--peers", type=positive_int, default=3),
         _arg("--port", type=listen_port, default=8440),
     ), _init),
@@ -195,7 +191,7 @@ COMMANDS = {c.name: c for c in (
     _Command("revoke", "revoke a CNA's authorization and certificate", (_arg("cna"),),
              lambda args, node: node.revoke(args.cna), on_node=True),
     _Command("submit", "submit a CVE record", (
-        _arg("record_json"), _arg("--embargo", type=int, default=None, help="embargo until (unix seconds)"),
+        _arg("record_json"), _arg("--embargo", type=number, default=None, help="embargo until (unix seconds)"),
     ), lambda args, node: node.submit(read_json_file(args.record_json), embargo=args.embargo), on_node=True),
     _Command("status", "transition a record's lifecycle status", (
         _arg("cve_id"),
@@ -220,12 +216,12 @@ COMMANDS = {c.name: c for c in (
         on_node=True),
     _Command("partialdup", "resolve partially overlapping records", (_arg("keep"), _arg("revise"), _AS),
              lambda args, node: node.partial_duplicate(args.keep, args.revise, caller=args.caller), on_node=True),
-    _Command("tick", "advance the chain clock and sweep embargoes", (_arg("--now", type=int, default=None),),
+    _Command("tick", "advance the chain clock and sweep embargoes", (_arg("--now", type=number, default=None),),
              lambda args, node: node.tick(now=args.now), on_node=True),
     _Command("query", "query public record views", (
         _arg("--status", choices=_STATUSES, default=None),
         _arg("--product", default=None),
-        _arg("--year", type=int, default=None),
+        _arg("--year", type=number, default=None),
         _arg("--id", dest="cve_id", default=None),
         _arg("--submitter", default=None),
     ), _query),

@@ -17,13 +17,12 @@ Each connection is answered at once on a kept handler thread
 from __future__ import annotations
 
 import queue
-import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
-from .canonical import to_canonical_bytes
+from .canonical import number, to_canonical_bytes
 from .canonical import to_canonical_json  # noqa: F401  (perfbench patches it here)
 # content_commitment and record_view are looked up here by the benchmark's span tracer
 from .chaincode import OP_SUBMIT, WorldState, content_commitment, is_content_withheld  # noqa: F401
@@ -33,16 +32,6 @@ from .records import CveStatus, parse_cve_id
 from .storage import audit_file
 
 _CVE_FILTERS = {"status", "product", "year", "submitter", "id"}
-# a number in a path or query string is ASCII digits after an optional minus;
-# `int()` would also take "+4", " 3 ", "1_0" and non-ASCII digits
-_INT_FULLMATCH = re.compile(r"-?[0-9]+").fullmatch
-
-
-def _number(text: str) -> int:
-    """The integer `text` spells, or the ValueError `int()` raises for text it refuses."""
-    if _INT_FULLMATCH(text) is None:
-        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
-    return int(text)
 
 
 def redacted_block_dict(block: Block, state: WorldState) -> dict:
@@ -172,7 +161,7 @@ class _Handler(BaseHTTPRequestHandler):
             if "status" in query:
                 filters["status"] = CveStatus(query["status"][0])
             if "year" in query:
-                filters["year"] = _number(query["year"][0])
+                filters["year"] = number(query["year"][0])
             if "id" in query:
                 filters["cve_id"] = parse_cve_id(query["id"][0])
             if "product" in query:
@@ -186,10 +175,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _block(self, service, height_text: str):
         try:
-            height = _number(height_text)
+            height = number(height_text)
         except ValueError:
             return self._error(400, f"bad height: {height_text}")
-        if height < 0 or height >= len(service.chain):
+        if height not in range(len(service.chain)):
             return self._error(404, f"no block at height {height_text}")
         self._send(200, redacted_block_dict(service.chain[height], service.state))
 
@@ -197,7 +186,7 @@ class _Handler(BaseHTTPRequestHandler):
         since = 0
         if "since" in query:
             try:
-                since = _number(query["since"][0])
+                since = number(query["since"][0])
             except ValueError:
                 return self._error(400, f"bad since: {query['since'][0]}")
         end = len(service.state.event_log)

@@ -26,7 +26,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .canonical import is_hex_digest, kept, kept_slots, sha256_hex
+from .canonical import U64, bounded, is_hex_digest, kept, kept_slots, sha256_hex
 from .canonical import to_canonical_json  # noqa: F401  (perfbench patches it here)
 from .errors import InvalidParticipantId, MalformedKey
 
@@ -102,12 +102,9 @@ def _lp(chunk: bytes) -> bytes:
 
 
 def _u64(value: int) -> bytes:
-    """MalformedKey for a value outside [0, 2**64), so a certificate that
-    could not be encoded is refused before it is signed."""
-    try:
-        return struct.pack(">Q", value)
-    except struct.error:
-        raise MalformedKey(f"{value!r} is not an integer in [0, 2**64)") from None
+    """MalformedKey unless `value` is a `U64`, so a certificate that could
+    not be encoded is refused before it is signed."""
+    return struct.pack(">Q", bounded(value, U64, lambda n: MalformedKey(f"{n!r} is not an integer in [0, 2**64)")))
 
 
 def _signing_bytes(subject: str, role: str, public_key: str, serial: int, issued_at: int) -> bytes:
@@ -142,8 +139,8 @@ class Certificate:
             raise MalformedKey(f"unknown role: {self.role!r}")
         if not is_hex_digest(self.public_key, 64) or not is_hex_digest(self.ca_signature, 128):
             raise MalformedKey("publicKey and caSignature must be 64 and 128 lowercase hex chars")
-        if not all(type(n) is int and 0 <= n < 2**64 for n in (self.serial, self.issued_at)):  # no bools
-            raise MalformedKey("serial and issuedAt must be integers in [0, 2**64)")
+        for n in (self.serial, self.issued_at):
+            bounded(n, U64, lambda n: MalformedKey("serial and issuedAt must be integers in [0, 2**64)"))
 
     def signing_bytes(self) -> bytes:
         return _signing_bytes(self.subject, self.role, self.public_key, self.serial, self.issued_at)

@@ -29,7 +29,8 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Callable
 
-from .canonical import ZERO_HASH, is_hex_digest, kept, kept_slots, sha256_hex, to_canonical_bytes, to_canonical_json, typed
+from .canonical import COUNT, NON_NEGATIVE, ZERO_HASH, bounded, is_hex_digest, kept, kept_slots, sha256_hex
+from .canonical import to_canonical_bytes, to_canonical_json, typed
 from .chaincode import (
     ChainClock,
     Event,
@@ -64,8 +65,7 @@ class EndorsementPolicy:
 
     def __post_init__(self):
         if self.rule == "ANY_N":
-            if self.n < 1:
-                raise ValueError("ANY_N requires n >= 1")
+            bounded(self.n, COUNT, lambda n: ValueError("ANY_N requires n >= 1"))
         elif self.rule in ("MAJORITY_OF", "ALL_OF"):
             if not self.orgs:
                 raise ValueError(f"{self.rule} requires a non-empty org set")
@@ -222,8 +222,7 @@ class Block:
     @classmethod
     def from_dict(cls, obj: dict) -> "Block":
         height = typed(obj["height"], int, "height")
-        if height < 0:
-            raise ValueError("height must be non-negative")
+        bounded(height, NON_NEGATIVE, lambda h: ValueError("height must be non-negative"))
         if not is_hex_digest(obj["prevHash"], 64) or not is_hex_digest(obj["blockHash"], 64):
             raise ValueError("prevHash/blockHash must be 64 lowercase hex chars")
         return cls(
@@ -506,8 +505,9 @@ class _VerifyContext:
         ctx.caller_keys = {
             name: typed(key, str, "callerKeys") for name, key in typed(obj["callerKeys"], dict, "callerKeys").items()
         }
-        if ctx.height < 0 or not is_hex_digest(ctx.prev_hash, 64):
-            raise ValueError("height must be non-negative and tipHash 64 lowercase hex chars")
+        bounded(ctx.height, NON_NEGATIVE, lambda h: ValueError("height must be non-negative"))
+        if not is_hex_digest(ctx.prev_hash, 64):
+            raise ValueError("tipHash must be 64 lowercase hex chars")
         return ctx
 
 
@@ -578,7 +578,8 @@ def _verify_signed(
 
 
 class ChainAuditor:
-    """Strict file auditor with per-line memoization.
+    """Strict file auditor. It keeps no state: each audit starts from
+    genesis or from the `start` it is given.
 
     A line is accepted only if it passes `checked_block` (it decodes to a
     block at its own height that encodes back to exactly the line, with no
@@ -594,20 +595,7 @@ class ChainAuditor:
     which is that loop started before genesis. Whether those first lines
     are still the ones verified is the caller's to know
     (`storage.audit_file` digests them).
-
-    Verdicts are cached on `(prev_hash, sha256(line))`: the hash that
-    commits the line's context, and the line. The cache is only consulted
-    once every earlier line has verified, and then the previous block's
-    hash commits, through block hashes, tx ids and payloads, everything the
-    context holds: the heights, the block times, the genesis anchors and
-    every onboarded certificate. Signatures and endorsements are covered by
-    no hash, but they never change the context. Re-auditing a file that
-    differs in one line only re-verifies from the changed line on, which
-    keeps exhaustive bit-flip sweeps tractable without weakening any check.
     """
-
-    def __init__(self) -> None:
-        self._memo: dict[tuple[str, str], tuple] = {}
 
     def audit_bytes(self, data: bytes) -> AuditReport:
         return self.audit(data)[0]
@@ -628,27 +616,18 @@ class ChainAuditor:
             return AuditReport(valid=False, first_bad_height=0, reason=HASH_MISMATCH), None
 
         for index in range(ctx.height + 1, len(lines)):
-            line = lines[index]
-            key = (ctx.prev_hash, sha256_hex(line))
-            hit = self._memo.get(key)
-            if hit is None:
-                hit = self._memo[key] = self._verify_line(index, line, ctx, trust)
-            reason, exported, ctx.prev_hash, ctx.prev_time, trust = hit
+            try:
+                block = checked_block(index, lines[index], ctx.prev_hash)
+                if index == 0:
+                    trust = TrustAnchors.from_genesis(block)
+            except LedgerCorrupt:
+                return AuditReport(valid=False, first_bad_height=index, reason=HASH_MISMATCH), None
+            reason, exported = _verify_signed(block, ctx, trust)
             if reason is not None:
                 return AuditReport(valid=False, first_bad_height=index, reason=reason), None
             ctx.caller_keys.update(exported)
-            ctx.height = index
+            ctx.height, ctx.prev_hash, ctx.prev_time = index, block.block_hash, block.block_time
         return AuditReport(valid=True), ctx.to_dict()
-
-    def _verify_line(self, index, line, ctx, trust):
-        try:
-            block = checked_block(index, line, ctx.prev_hash)
-            if index == 0:
-                trust = TrustAnchors.from_genesis(block)
-        except LedgerCorrupt:
-            return HASH_MISMATCH, {}, None, None, None
-        reason, exported = _verify_signed(block, ctx, trust)
-        return reason, exported, block.block_hash, block.block_time, trust
 
 
 def _resume(data: bytes, start: dict) -> tuple[LedgerLines, _VerifyContext, TrustAnchors]:

@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .canonical import to_canonical_json, typed
+from .canonical import COUNT, NON_NEGATIVE, U64, bounded, to_canonical_json, typed
 from .chaincode import (
     ChainClock,
     OP_CHECK_EMBARGO,
@@ -27,7 +27,7 @@ from .chaincode import (
     execute_transaction,
 )
 from .corrections import OP_DISPUTE, OP_MERGE, OP_PARTIAL_DUP, OP_REJECT, OP_SPLIT
-from .errors import BadCertificate, ClockRegression, ClockViolation, DuplicateSubject, LedgerError, MalformedKey
+from .errors import BadCertificate, ClockRegression, ClockViolation, DuplicateSubject, LedgerError
 from .errors import Revoked, UnauthorizedCaller
 from .identity import (
     Certificate,
@@ -36,7 +36,6 @@ from .identity import (
     ROLE_CNA,
     ROLE_GOVERNANCE,
     ROLE_READER,
-    _u64,
     derive_keypair,
     sign_payload,
     verify_certificate,  # noqa: F401  (the benchmark's span tracer patches it here)
@@ -69,10 +68,8 @@ class OrdererConfig:
     tick_seconds: int = 1
 
     def __post_init__(self) -> None:
-        if self.max_block_txs < 1:
-            raise ValueError(f"maxBlockTxs must be at least 1, not {self.max_block_txs}")
-        if self.tick_seconds < 1:
-            raise ValueError(f"tickSeconds must be at least 1, not {self.tick_seconds}")
+        bounded(self.max_block_txs, COUNT, lambda n: ValueError(f"maxBlockTxs must be at least 1, not {n}"))
+        bounded(self.tick_seconds, COUNT, lambda n: ValueError(f"tickSeconds must be at least 1, not {n}"))
 
     def to_dict(self) -> dict:
         return {"maxBlockTxs": self.max_block_txs, "tickSeconds": self.tick_seconds}
@@ -166,8 +163,7 @@ def build_consortium(
     block that anchors them. `new_key(label)` supplies each key, labelled
     "ca", the governance id or the peer id. Returns (ca, keys, governance
     certificate, genesis), where `keys` holds the governance and peer keys."""
-    if n_peers < 1:
-        raise ValueError(f"a consortium needs at least one peer, not {n_peers}")
+    bounded(n_peers, COUNT, lambda n: ValueError(f"a consortium needs at least one peer, not {n}"))
     ca = CertificateAuthority(new_key("ca"))
     keys = {governance_id: new_key(governance_id)}
     gov_cert = ca.issue_certificate(
@@ -352,15 +348,11 @@ class SimulatedNetwork:
 
     def _next_clock(self, now: int) -> int:
         """`now`, once it is neither behind the clock nor past what a
-        certificate issued at it can carry (a u64)."""
+        certificate issued at it can carry (a `U64`)."""
         now = int(now)
         if now < self.clock:
             raise ClockRegression(f"clock to {now} behind {self.clock}")
-        try:
-            _u64(now)
-        except MalformedKey:
-            raise ClockViolation(f"clock {now} is not an integer in [0, 2**64)") from None
-        return now
+        return bounded(now, U64, lambda now: ClockViolation(f"clock {now} is not an integer in [0, 2**64)"))
 
     def advance_clock(self, now: int) -> None:
         self.clock = self._next_clock(now)
@@ -420,21 +412,19 @@ def drive_scenario(script: dict | list) -> tuple[SimulatedNetwork, list[dict], l
     actions = list(script.get("actions", ()))
     ticks = [typed(entry.get("atTick", 0), int, "atTick") for entry in actions]
     for entry, at in zip(actions, ticks):
-        if at < 0:
-            raise ValueError(f"scenario action {entry!r} is at negative tick {at}")
+        bounded(at, NON_NEGATIVE, lambda at: ValueError(f"scenario action {entry!r} is at negative tick {at}"))
         if "embargoTicks" in entry.get("args", {}):
             typed(entry["args"]["embargoTicks"], int, "embargoTicks")
     seed = bytes.fromhex(script["seed"]) if "seed" in script else b"cveledger-scenario"
     genesis_time = typed(script.get("genesisTime", 0), int, "genesisTime")
-    tick_seconds = typed(script.get("tickSeconds", 1), int, "tickSeconds")
+    orderer = OrdererConfig.from_dict(script)
+    tick_seconds = orderer.tick_seconds
     net = SimulatedNetwork(
         n_peers=typed(script.get("peers", 3), int, "peers"),
         policy=EndorsementPolicy.from_dict(script["policy"]) if "policy" in script else None,
         seed=seed,
         genesis_time=genesis_time,
-        orderer=OrdererConfig(
-            max_block_txs=typed(script.get("maxBlockTxs", 100), int, "maxBlockTxs"), tick_seconds=tick_seconds
-        ),
+        orderer=orderer,
     )
     gov = net.governance_id
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import errors
-from .canonical import to_canonical_json, typed
+from .canonical import PORT, bounded, number, to_canonical_json, typed
 from .chaincode import OP_CHECK_EMBARGO, OP_UPDATE_STATUS, WorldState
 from .corrections import OP_DISPUTE, OP_MERGE, OP_PARTIAL_DUP, OP_REJECT, OP_SPLIT
 from .errors import LedgerError
@@ -45,11 +45,9 @@ CERTS_DIR = "certs"
 
 
 def listen_port(value: int | str) -> int:
-    """`value`, an int or its command-line text, if a server can listen on it (0-65535); else a ValueError."""
-    port = int(value)
-    if not 0 <= port <= 65535:
-        raise ValueError(f"port {port} is not in 0-65535")
-    return port
+    """`value`, an int or its command-line text, if it is a `PORT`; else a ValueError."""
+    port = number(value) if isinstance(value, str) else value
+    return bounded(port, PORT, lambda port: ValueError(f"port {port} is not in 0-65535"))
 
 
 @dataclass(frozen=True)
@@ -271,9 +269,15 @@ class Node:
 
     # -- identity management ----------------------------------------------------
 
-    def issue(self, participant: str, role: str) -> Certificate:
+    def issue(self, participant: str, role: str, out: Path | None = None) -> Certificate:
+        """A new key and its certificate for `participant`, kept in `keys/`
+        and `certs/`. The certificate is written to `out` first, when one is
+        given, so a refusal or an `out` that cannot be written leaves the
+        data dir as it was and the name free."""
         key = KeyPair.generate()
         cert = self.net.issue(participant, role, key)
+        if out is not None:
+            out.write_text(to_canonical_json(cert.to_dict()) + "\n", encoding="utf-8")
         _write_json(self.data_dir / KEYS_DIR / f"{participant}.json", _key_file(key))
         _write_json(self.data_dir / CERTS_DIR / f"{participant}.json", cert.to_dict())
         return cert
@@ -358,10 +362,7 @@ class Node:
         """Advance the chain clock and run the embargo sweep. The ids it
         released are read off the events appended after `before`, which all
         come from the one block `_append` cut."""
-        if now is not None:
-            self.net.advance_clock(int(now))
-        else:
-            self.net.advance_clock(self.net.clock + self.config.orderer.tick_seconds)
+        self.net.advance_clock(self.net.clock + self.config.orderer.tick_seconds if now is None else now)
         log = self.state.event_log
         before = len(log)
         out = self._commit(OP_CHECK_EMBARGO, {})

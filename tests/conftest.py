@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from cveledger.chaincode import WorldState
@@ -64,3 +66,8 @@ def make_record(
         embargo_until=embargo_until,
         **kwargs,
     )
+
+
+def files_under(root: Path) -> dict:
+    """Every file and directory under `root`, a file mapped to its bytes."""
+    return {p.relative_to(root): p.is_dir() or p.read_bytes() for p in sorted(root.rglob("*"))}

@@ -183,12 +183,16 @@ def test_acceptance_2_tamper_evidence(tmp_path):
                 return height
         raise AssertionError(f"byte {byte_pos} beyond mapped lines")
 
+    # a flip in a line is audited from the context that a valid audit of the
+    # lines before it ends with, as the audit watermark resumes; genesis from scratch
+    starts = [None] + [dict(auditor.audit(data[: hi + 1])[1], offset=hi + 1) for _, hi, _ in offsets[:-1]]
+
     undetected = []
     wrong_height = []
     mutated = bytearray(data)
     for byte_pos, bit in positions:
         mutated[byte_pos] ^= 1 << bit
-        result = auditor.audit_bytes(bytes(mutated))
+        result = auditor.audit(bytes(mutated), starts[height_of(byte_pos)])[0]
         mutated[byte_pos] ^= 1 << bit  # restore
         if result.valid:
             undetected.append((byte_pos, bit))

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cveledger.canonical import is_hex_digest
+from cveledger.canonical import COUNT, NON_NEGATIVE, PORT, U64, bounded, is_hex_digest, number
 
 
 def scan_is_hex_digest(value, length=64):
@@ -34,3 +35,43 @@ near_hex = st.text(alphabet=st.sampled_from("0123456789abcdefABCDEF\n ٣g"), max
 def test_matches_per_character_scan(value, length):
     assert is_hex_digest(value, length) == scan_is_hex_digest(value, length)
     assert is_hex_digest(value) == scan_is_hex_digest(value)
+
+
+ODD_SPELLINGS = ["+4", " 3 ", "3\n", "1_0", "٣", "١٠٠٥", "３", "", "-", "--1", "0x10", "1e3", "1.0", "4 2"]
+
+
+@pytest.mark.parametrize("text", ["0", "-0", "007", "-5", "18446744073709551616", "9" * 400])
+def test_ascii_digits_after_an_optional_minus_spell_the_int_they_spell(text):
+    assert number(text) == int(text)
+
+
+@pytest.mark.parametrize("text", ODD_SPELLINGS)
+def test_every_other_spelling_is_the_value_error_int_raises(text):
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        number(text)
+
+
+def test_more_digits_than_int_converts_is_a_value_error():
+    with pytest.raises(ValueError):
+        number("9" * 5000)
+
+
+@pytest.mark.parametrize(
+    "row, inside, outside",
+    [
+        (U64, [0, 2**64 - 1], [-1, 2**64]),
+        (COUNT, [1, 10**30], [0, -1]),
+        (PORT, [0, 65535], [-1, 65536]),
+        (NON_NEGATIVE, [0, 10**30], [-1]),
+    ],
+)
+def test_each_row_takes_its_ends_and_refuses_one_past_them_with_the_callers_error(row, inside, outside):
+    class Refused(Exception):
+        pass
+
+    for value in inside:
+        assert bounded(value, row, Refused) == value
+    for value in [*outside, True, 1.0, "1", None]:
+        with pytest.raises(Refused) as refused:
+            bounded(value, row, Refused)
+        assert refused.value.args == (value,)

@@ -12,6 +12,8 @@ import pytest
 import cveledger
 from cveledger.cli import build_parser, main
 
+from conftest import files_under
+
 SRC = Path(cveledger.__file__).resolve().parent.parent
 
 
@@ -529,3 +531,67 @@ class TestClockRange:
             capsys, "--data-dir", str(data_dir), "issue", "cna.late", "--role", "CNA", "--out", str(certfile)
         )
         assert code == 0 and json.loads(certfile.read_text())["subject"] == "cna.late"
+
+
+class TestFailedIssue:
+    """An `issue` that exits non-zero leaves `keys/`, `certs/` and the
+    `--out` path as they were, so the participant's name stays free."""
+
+    @staticmethod
+    def issue(capsys, data_dir, out) -> tuple[int, object, str]:
+        return run_cli(capsys, "--data-dir", str(data_dir), "issue", "cna.zz", "--out", str(out))
+
+    def test_an_out_that_is_a_directory_leaves_the_data_dir_as_it_was(self, tmp_path, data_dir, capsys):
+        before = files_under(data_dir)
+        (tmp_path / "outdir").mkdir()
+        code, out, err = self.issue(capsys, data_dir, tmp_path / "outdir")
+        assert (code, out) == (1, None)
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == "IsADirectoryError", line
+        assert files_under(data_dir) == before
+        assert files_under(tmp_path / "outdir") == {}
+
+    def test_the_name_a_directory_out_refused_issues_afterwards(self, tmp_path, data_dir, capsys):
+        (tmp_path / "outdir").mkdir()
+        assert self.issue(capsys, data_dir, tmp_path / "outdir")[0] == 1
+        code, out, err = self.issue(capsys, data_dir, tmp_path / "zz.json")
+        assert (code, err) == (0, "")
+        assert json.loads((tmp_path / "zz.json").read_text())["subject"] == out["subject"] == "cna.zz"
+
+    def test_a_duplicate_subject_leaves_an_existing_out_file_as_it_was(self, tmp_path, data_dir, capsys):
+        assert self.issue(capsys, data_dir, tmp_path / "a.json")[0] == 0
+        kept = tmp_path / "b.json"
+        kept.write_bytes(b"keep me\n")
+        before = files_under(data_dir)
+        code, _, err = self.issue(capsys, data_dir, kept)
+        assert code == 1 and json.loads(err)["error"] == "DuplicateSubject", err
+        assert kept.read_bytes() == b"keep me\n"
+        assert files_under(data_dir) == before
+
+
+class TestOddSpellings:
+    """An integer option is ASCII digits after an optional minus, as over
+    HTTP: what else `int()` reads is a usage error, refused before any file
+    is touched."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tick", "--now", "+5"],
+            ["tick", "--now", "١٠٠٥"],
+            ["tick", "--now", " +1_006 "],
+            ["init", "--peers", " 2"],
+            ["init", "--now", "١٠٠٠", "--peers", "٢", "--port", "٨٤٤١"],
+            ["serve", "--port", "8_0"],
+            ["query", "--year", "٢٠٢٥"],
+            ["submit", "record.json", "--embargo", "+1500"],
+            ["bench", "--txs", "٥", "--peers", "1"],
+        ],
+    )
+    def test_a_spelling_http_refuses_is_one_usage_error_and_touches_no_file(self, data_dir, capsys, argv):
+        before = files_under(data_dir)
+        code, out, err = run_cli(capsys, "--data-dir", str(data_dir), *argv)
+        assert (code, out) == (2, None)
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == "UsageError", line
+        assert files_under(data_dir) == before
