@@ -25,7 +25,7 @@ import hashlib
 import itertools
 import json
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -191,8 +191,8 @@ def compute_block_hash(height: int, prev_hash: str, block_time: int, tx_ids) -> 
     return sha256_hex(to_canonical_bytes(header))
 
 
-@dataclass(frozen=True)
-class Block:
+@dataclass(frozen=True, slots=True)
+class Block(kept_slots("_line", "__weakref__")):
     height: int
     prev_hash: str
     block_time: int
@@ -236,11 +236,15 @@ class Block:
 
 def block_line(block: Block) -> bytes:
     """The block's line in `ledger.jsonl`: its canonical JSON and a newline,
-    `to_canonical_bytes(block.to_dict()) + b"\\n"`. Each transaction's
-    payload is spliced from its kept `payload_bytes()`, which its tx id
-    hashes too, so a payload is encoded once whatever reads it. A block
-    holding what canonical JSON cannot write (a NaN, an infinity, a lone
-    surrogate, nesting too deep) raises ValueError."""
+    `to_canonical_bytes(block.to_dict()) + b"\\n"`, kept on the block, so a
+    cut block is encoded once whatever keeps or writes it. Each payload is
+    spliced from its kept `payload_bytes()`, which its tx id hashes too. A
+    block holding what canonical JSON cannot write (a NaN, an infinity, a
+    lone surrogate, nesting too deep) raises ValueError."""
+    return kept(block, "_line", _encode_line)
+
+
+def _encode_line(block: Block) -> bytes:
     txs = b",".join(
         _open_object({"callerSignature": tx.caller_signature, "endorsements": [[p, s] for p, s in tx.endorsements]})
         + b',"payload":%s,"txId":%s}' % (tx.payload_bytes(), to_canonical_bytes(tx.tx_id))
@@ -356,30 +360,45 @@ class LedgerLines(Sequence):
 
 
 class LineChain(Sequence):
-    """A chain whose first blocks are kept as their ledger lines, each
-    decoded only when it is indexed: what `storage.load_ledger` returns,
-    which holds the lines' bytes instead of every decoded block.
-    `chain + blocks` is a new LineChain that shares those lines, so
-    `append_block` copies only the blocks after them."""
+    """A chain held as its blocks' ledger lines, only its tip decoded: what
+    `SimulatedNetwork.chain` always is, and `storage.load_ledger` returns
+    over `LedgerLines` (`framed`). `chain + blocks` keeps each `block_line`
+    in a list shared with this chain: O(1), and this chain is left as it
+    was. Other blocks decode when indexed; slices and `==` act as a list's."""
 
-    def __init__(self, lines: Sequence[bytes], blocks: list[Block] | None = None):
-        self._lines = lines
-        self._blocks = blocks or []
+    def __init__(self, framed: Sequence[bytes] = (), cut: list[bytes] | None = None, tip: Block | None = None):
+        self._framed, self._cut, self._tip = framed, [] if cut is None else cut, tip
+        self._seen = len(self._cut)  # the chains built on this one may have added more
 
     def __len__(self) -> int:
-        return len(self._lines) + len(self._blocks)
+        return len(self._framed) + self._seen
 
-    def __getitem__(self, index: int) -> Block:
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError("chain index out of range")
-        if index < len(self._lines):
-            return parse_line(self._lines[index])
-        return self._blocks[index - len(self._lines)]
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        index = range(len(self))[index]
+        if index == len(self) - 1 and self._tip is not None:
+            return self._tip
+        framed = len(self._framed)
+        return parse_line(self._framed[index] if index < framed else self._cut[index - framed])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def __add__(self, blocks) -> "LineChain":
-        return LineChain(self._lines, self._blocks + list(blocks))
+        chain = self
+        for block in blocks:
+            cut = chain._cut if len(chain._cut) == chain._seen else chain._cut[: chain._seen]
+            cut.append(block_line(block))
+            chain = LineChain(chain._framed, cut, block)
+        return chain
+
+    def lines(self) -> Iterator[bytes]:
+        """Each block's ledger line, newline included, the kept ones as they are."""
+        yield from (line + b"\n" for line in self._framed)
+        yield from itertools.islice(self._cut, self._seen)
 
 
 @dataclass(frozen=True)
@@ -457,9 +476,9 @@ def check_endorsements(tx: Transaction, trust: TrustAnchors) -> bool:
 
 
 def append_block(chain: Sequence[Block], txs, clock_now: int, trust: TrustAnchors) -> Sequence[Block]:
-    """`chain` extended with one block, `chain` itself left as it was. Every
-    transaction must already satisfy the endorsement policy; the clock may
-    not run backwards."""
+    """`chain + [block]` for the next block of `txs` (O(1) on a `LineChain`).
+    Every transaction must already satisfy the endorsement policy; the
+    clock may not run backwards."""
     if not chain:
         raise ValueError("append_block needs a genesis block in place")
     tip = chain[-1]

@@ -45,6 +45,7 @@ from .identity import (
 from .ledger import (
     Block,
     EndorsementPolicy,
+    LineChain,
     Transaction,
     TrustAnchors,
     append_block,
@@ -253,7 +254,7 @@ class SimulatedNetwork:
         """Set every field: the trust anchors and peers come from the genesis
         block; `chain` is replayed once unless its `state` is given, and each
         peer gets a `WorldState.copy()` and the tip. The network keeps
-        `chain` itself, which `append_block` never mutates."""
+        `chain` as a `LineChain`, each block as its ledger line."""
         self.orderer = orderer
         self.seed = seed
         self.ca = ca
@@ -268,6 +269,8 @@ class SimulatedNetwork:
                 raise BadCertificate(f"missing signing key for peer {pid}")
         if state is None:
             state = replay(chain)
+        if not isinstance(chain, LineChain):
+            chain = LineChain() + chain
         tip = chain[-1]
         self.peers = [
             Peer(pid, self.trust.peer_orgs[pid], peer_keys[pid], state.copy(), tip.block_hash) for pid in pids

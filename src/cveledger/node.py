@@ -273,7 +273,9 @@ class Node:
         """A new key and its certificate for `participant`, kept in `keys/`
         and `certs/`. The certificate is written to `out` first, when one is
         given, so a refusal or an `out` that cannot be written leaves the
-        data dir as it was and the name free."""
+        data dir as it was and the name free; an `out` inside it is refused first."""
+        if out is not None and out.resolve().is_relative_to(self.data_dir.resolve()):
+            raise LedgerError(f"the certificate file {out} would be written inside the data dir {self.data_dir}")
         key = KeyPair.generate()
         cert = self.net.issue(participant, role, key)
         if out is not None:

@@ -78,7 +78,7 @@ _checkpoint_log = logging.getLogger(f"{__name__}.checkpoint")
 
 def append_block_file(path: Path, block: Block) -> bytes:
     """Single write + fsync per block: a crash can truncate at most the
-    trailing line. Returns the line written."""
+    trailing line. Returns the line written, the one kept on `block`."""
     line = block_line(block)
     with open(path, "ab") as fh:
         fh.write(line)
@@ -88,7 +88,7 @@ def append_block_file(path: Path, block: Block) -> bytes:
 
 
 def write_chain_file(path: Path, chain: Sequence[Block]) -> None:
-    data = b"".join(block_line(b) for b in chain)
+    data = b"".join(chain.lines() if isinstance(chain, LineChain) else map(block_line, chain))
     with open(path, "wb") as fh:
         fh.write(data)
         fh.flush()
@@ -235,7 +235,7 @@ def load_ledger(
         digest.update(tail + b"\n")
     if repair:
         _repair_tail(path, size, tail, block)
-    return LineChain(lines, [block] if block else None), state, digest
+    return LineChain(lines) + ([block] if block else []), state, digest
 
 
 def _read_checkpoint(path: Path, data: bytes) -> tuple[int, str, WorldState, LedgerDigest] | None:

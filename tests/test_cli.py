@@ -569,6 +569,64 @@ class TestFailedIssue:
         assert files_under(data_dir) == before
 
 
+class TestOutInsideTheDataDir:
+    """An `issue --out` that resolves inside the data dir is refused before
+    anything is issued: one JSON error line, every file under the dir
+    byte-identical, and the name free for a later `issue`."""
+
+    @pytest.mark.parametrize(
+        "inside",
+        [
+            lambda d: d / "ledger.jsonl",
+            lambda d: d / "ledger.jsonl.state",
+            lambda d: d / "keys" / "cna.x.json",
+            lambda d: d / "certs" / "cna.x.json",
+            lambda d: d / "new.cert.json",
+            lambda d: d,
+            lambda d: d / ".." / d.name / "ledger.jsonl",
+        ],
+        ids=["ledger", "checkpoint", "key", "cert", "new-file", "the-dir", "dotdot"],
+    )
+    def test_an_out_inside_the_data_dir_is_refused_and_leaves_it_as_it_was(self, tmp_path, data_dir, capsys, inside):
+        onboard_redhat(capsys, data_dir, tmp_path)
+        before = files_under(data_dir)
+        code, out, err = run_cli(capsys, "--data-dir", str(data_dir), "issue", "cna.x", "--out", str(inside(data_dir)))
+        assert (code, out) == (1, None)
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == "LedgerError" and "inside the data dir" in json.loads(line)["message"]
+        assert files_under(data_dir) == before
+        argv = ["--data-dir", str(data_dir), "issue", "cna.x", "--out", str(tmp_path / "x.json")]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and out["subject"] == "cna.x"
+        assert run_cli(capsys, "--data-dir", str(data_dir), "audit")[0] == 0
+
+    def test_an_out_through_a_link_into_the_data_dir_is_refused(self, tmp_path, data_dir, capsys):
+        (tmp_path / "link").symlink_to(data_dir, target_is_directory=True)
+        before = files_under(data_dir)
+        code, _, err = run_cli(
+            capsys, "--data-dir", str(data_dir), "issue", "cna.x", "--out", str(tmp_path / "link" / "ledger.jsonl")
+        )
+        assert code == 1 and json.loads(err)["error"] == "LedgerError", err
+        assert files_under(data_dir) == before
+
+    def test_a_data_dir_named_by_a_relative_path_refuses_its_own_ledger(self, tmp_path, data_dir, capsys, monkeypatch):
+        monkeypatch.chdir(data_dir.parent)
+        before = files_under(data_dir)
+        name = data_dir.name
+        code, _, err = run_cli(capsys, "--data-dir", name, "issue", "cna.x", "--out", f"./{name}/ledger.jsonl")
+        assert code == 1 and json.loads(err)["error"] == "LedgerError", err
+        assert files_under(data_dir) == before
+        code, _, _ = run_cli(capsys, "--data-dir", name, "issue", "cna.x", "--out", "x.json")
+        assert code == 0 and (data_dir.parent / "x.json").exists()
+
+    def test_the_default_out_is_refused_when_the_data_dir_is_the_working_dir(self, data_dir, capsys, monkeypatch):
+        monkeypatch.chdir(data_dir)
+        before = files_under(data_dir)
+        code, _, err = run_cli(capsys, "--data-dir", ".", "issue", "cna.x")
+        assert code == 1 and json.loads(err)["error"] == "LedgerError", err
+        assert files_under(data_dir) == before
+
+
 class TestOddSpellings:
     """An integer option is ASCII digits after an optional minus, as over
     HTTP: what else `int()` reads is a usage error, refused before any file
