@@ -11,13 +11,15 @@ dir's path. `build_parser` builds the parser from the table; `main` looks
 the parsed command up in it, runs the handler and prints what it returns.
 
 Read commands never write the ledger. Writers leave the state checkpoint
-next to it (`ledger.jsonl.state`) after each committed block, so that the
-next write or `query` decodes and replays only the blocks appended since.
+next to it (`ledger.jsonl.state`), rewritten once the ledger has grown past
+it by 1/256 of its size, so that the next write or `query` decodes and
+replays only the blocks appended since.
 `audit` writes one file, the audit watermark (`storage.audit_file`), so
 that the next audit verifies only the blocks appended since; `serve`
 writes it on each `GET /v1/audit`, and `replay` and `query` write nothing.
 `replay` and `serve` load the ledger from genesis, never from the
-checkpoint: `replay` refuses a trusted checkpoint that the ledger does not reach.
+checkpoint: `replay` refuses a trusted checkpoint that its one fold does
+not reach at its height.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .identity import ROLE_CNA, ROLE_GOVERNANCE, ROLE_READER
 from .ledger import replay, state_hash  # noqa: F401
 from .node import LEDGER_FILE, Node, initialized, listen_port, load_data_dir, read_json_file
 from .records import CveStatus, parse_cve_id
-from .storage import audit_file, check_checkpoint, read_chain  # noqa: F401
+from .storage import audit_file, read_chain  # noqa: F401
 
 DEFAULT_DATA_DIR = os.environ.get("CVELEDGER_DATA_DIR", "./cveledger-data")
 
@@ -112,10 +114,8 @@ def _init(args, data_dir) -> dict:
 
 
 def _replay(args, data_dir) -> dict:
-    _, chain, state, _ = load_data_dir(data_dir, checkpoint=False)
-    out = {"stateHash": state_hash(state), "height": chain[-1].height}
-    check_checkpoint(data_dir / LEDGER_FILE, chain, out["stateHash"])
-    return out
+    _, chain, state, _ = load_data_dir(data_dir, checkpoint=False, check=True)
+    return {"stateHash": state_hash(state), "height": chain[-1].height}
 
 
 def _query(args, data_dir) -> list:

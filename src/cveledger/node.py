@@ -4,8 +4,9 @@ One writer process per data dir (advisory lock). The ledger file is the
 only source of truth: opening a node loads it once (from the state
 checkpoint on, when a valid one covers a prefix) and copies the state to
 each peer, every mutation runs the full endorse -> order -> commit
-pipeline, and each committed block is in the file before the call returns,
-followed by a new checkpoint.
+pipeline, and each committed block is in the file before the call returns.
+The checkpoint is rewritten after a block only once the ledger has grown
+past the one the node trusts by 1/256 of its size (`storage.checkpoint_due`).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .storage import (  # noqa: F401
     LedgerDigest,
     append_block_file,
     audit_file,
+    checkpoint_due,
     load_ledger,
     read_chain,
     write_checkpoint,
@@ -132,18 +134,19 @@ def initialized(data_dir: Path, name: str) -> Path:
 
 
 def load_data_dir(
-    data_dir: Path, lock: DataDirLock | None = None, *, checkpoint: bool = True
+    data_dir: Path, lock: DataDirLock | None = None, *, checkpoint: bool = True, check: bool = False
 ) -> tuple[NodeConfig, Sequence[Block], WorldState, LedgerDigest]:
     """The config of an initialized data dir, and its ledger as
     `storage.load_ledger` loads it (with the state checkpoint when
-    `checkpoint`), the same way for `Node` and the CLI's readers. A crash
-    tail is dropped; given the writer's `lock` (taken only once the dir is
-    known to be initialized), it is also repaired in the file."""
+    `checkpoint`, checking it when `check`), the same way for `Node` and
+    the CLI's readers. A crash tail is dropped; given the writer's `lock`
+    (taken only once the dir is known to be initialized), it is also
+    repaired in the file."""
     config_path, ledger_path = initialized(data_dir, CONFIG_FILE), initialized(data_dir, LEDGER_FILE)
     if lock is not None:
         lock.acquire()
     config = read_json_file(config_path, parse=NodeConfig.from_dict)
-    chain, state, digest = load_ledger(ledger_path, repair=lock is not None, checkpoint=checkpoint)
+    chain, state, digest = load_ledger(ledger_path, repair=lock is not None, checkpoint=checkpoint, check=check)
     if not chain:
         raise LedgerError(f"ledger file has no genesis block: {data_dir}")
     return config, chain, state, digest
@@ -166,7 +169,7 @@ class Node:
         self.config = config
         self.net = net
         self._lock = lock
-        self._digest = digest  # of the ledger file's bytes, for the next checkpoint
+        self._digest = digest  # of the ledger file's bytes and the trusted checkpoint, for the next one
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -293,14 +296,17 @@ class Node:
     def _append(self, result: SubmitResult) -> dict:
         """One CLI mutation == one transaction == one block. Once the block
         is in the file, the state after it is left as the checkpoint the
-        next open starts from."""
+        next open starts from when `checkpoint_due`, which a failed write leaves due."""
         if not result.accepted:
             raise _refusal_error(result)
         blocks = self.net.tick(self.net.clock)
         path = self.data_dir / LEDGER_FILE
         for block in blocks:
             self._digest.update(append_block_file(path, block))
-        write_checkpoint(path, self._digest, blocks[-1], self.state)
+        if checkpoint_due(self._digest):
+            written = write_checkpoint(path, self._digest, blocks[-1], self.state)
+            if written is not None:
+                self._digest.checkpoint = (self._digest.size, written)
         return {
             "txId": result.tx.tx_id,
             "blocks": [b.block_hash for b in blocks],
