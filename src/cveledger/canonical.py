@@ -1,8 +1,9 @@
-"""Canonical JSON serialization and hashing.
+"""Canonical JSON serialization, decoding and hashing.
 
 Every byte that feeds a hash (transaction payloads, block headers, state
 snapshots) is produced here, so digests are reproducible across replays,
-peers, and process restarts.
+peers, and process restarts; every JSON byte read from outside is decoded
+here too, by one rule (`parse_json`).
 
 Every integer from outside (a CLI option, an HTTP path or query string, a
 `config.json` or scenario field, a decoded block or certificate) is read
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from typing import Any, Callable
 
@@ -48,6 +50,53 @@ def to_canonical_json(obj: Any) -> str:
 
 def to_canonical_bytes(obj: Any) -> bytes:
     return to_canonical_json(obj).encode("utf-8")
+
+
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):  # NaN, an infinity, or a literal too large for a float, like 1e400
+        raise ValueError(f"non-finite number {literal}")
+    return value
+
+
+# the encoder's mirror: canonical JSON never carries NaN or an infinity
+# (`allow_nan=False`), so a value that holds one is refused as it is decoded
+_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_finite_float)
+
+
+def parse_json(data: bytes) -> Any:
+    """The value the JSON `data` spells, read as strict UTF-8. ValueError
+    for bytes that are not UTF-8 or not JSON, for a NaN, an infinity or a
+    literal too large for a float, and for nesting too deep to decode. A
+    lone surrogate escape decodes; only the encoder refuses it."""
+    try:
+        return _DECODER.decode(data.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("JSON nesting too deep") from None
+
+
+# How deep a writer lets lists and objects nest in what it commits or reads
+# from a file, far below what the interpreter's recursion limit lets a
+# reader decode (about 980 levels), so a verdict never depends on a stack.
+MAX_DEPTH = 64
+_NESTS = (dict, list, tuple)
+
+
+def nesting(value: Any) -> int:
+    """How deep lists and objects nest in `value`: 0 for a scalar, 1 for
+    `[]` or `{}`, one more per level, counted up to `MAX_DEPTH + 1`. It
+    walks one level at a time, keeping only lists and objects, so no depth
+    can exhaust the stack."""
+    depth, level = 0, [value] if isinstance(value, _NESTS) else []
+    while level and depth <= MAX_DEPTH:
+        depth += 1
+        level = [
+            item
+            for node in level
+            for item in (node.values() if isinstance(node, dict) else node)
+            if isinstance(item, _NESTS)
+        ]
+    return depth
 
 
 def sha256_hex(data: bytes) -> str:

@@ -11,7 +11,8 @@ by at least one check and any post-commit mutation is detectable by audit.
 The loader behind `Node.open` and the CLI's readers runs every one of
 those checks but the signatures on each line it decodes (`checked_block`)
 and checks links as it replays; the library readers `storage.read_chain`
-and `replay` only decode lines (`parse_line`) and check links.
+and `replay` only decode lines (`parse_line`) and check links. Every
+line, block or checkpoint, is decoded by the one rule `canonical.parse_json`.
 
 Verification is chain-self-contained: the trust root (CA key, bootstrap
 governance certificates, peer keys, endorsement policy) lives in the
@@ -23,14 +24,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
-import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Callable
 
 from .canonical import COUNT, NON_NEGATIVE, ZERO_HASH, bounded, is_hex_digest, kept, kept_slots, sha256_hex
-from .canonical import to_canonical_bytes, to_canonical_json, typed
+from .canonical import parse_json, to_canonical_bytes, to_canonical_json, typed
 from .chaincode import (
     ChainClock,
     Event,
@@ -265,33 +264,11 @@ def _open_object(obj: dict) -> bytes:
     return to_canonical_bytes(obj)[:-1]
 
 
-def _refuse_non_finite(literal: str):
-    raise ValueError(f"non-finite number {literal}")
-
-
-def _finite_float(literal: str) -> float:
-    value = float(literal)
-    if math.isinf(value):  # a literal too large for a float, like 1e400
-        _refuse_non_finite(literal)
-    return value
-
-
-# Canonical JSON never carries NaN or an infinity (`allow_nan=False`): a
-# line that decodes to one cannot be re-encoded, so it is refused here,
-# where every reader and the auditor turn a ValueError into their verdict.
-_LINE_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_refuse_non_finite)
-
-
 def parse_line(line: bytes) -> Block:
     """The block on `line`. Bytes that are not a block raise KeyError or
-    ValueError (a UnicodeDecodeError is one, and so is a NaN, an infinity,
-    a number literal too large for a float or nesting too deep). Decoding
-    is all it checks: only the auditor asks whether the block encodes back
-    to `line`."""
-    try:
-        obj = _LINE_DECODER.decode(line.decode("utf-8"))
-    except RecursionError:
-        raise ValueError("JSON nesting too deep") from None
+    ValueError (whatever `parse_json` refuses is one). Decoding is all it
+    checks: only the auditor asks whether the block encodes back to `line`."""
+    obj = parse_json(line)
     if not isinstance(obj, dict):
         raise ValueError("block line must be a JSON object")
     return Block.from_dict(obj)
@@ -748,8 +725,8 @@ def snapshot_lines(state: WorldState) -> tuple[dict, list[bytes], list[bytes]]:
     return state.summary_dict(), sorted(entries), events
 
 
-# What decoding a sidecar line raises on bytes that hold no header, record or event.
-DECODE_ERRORS = (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError, LedgerError)
+# What decoding raises on bytes that hold no sidecar header, record, event or file value.
+DECODE_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError, LedgerError)
 
 # Every draft's entry holds this, and no other entry the writer spells does:
 # canonical JSON escapes each quote inside a string, so only a key spells it,
@@ -765,7 +742,7 @@ def _corrupt(source: str, what: str, why) -> LedgerCorrupt:
 
 
 # a writer spells every checkpoint line canonically, as it does a block line;
-# a NaN, an infinity or `1e400` decodes, but canonical JSON cannot re-encode it
+# other spacing, key order or escapes, or a lone surrogate, decode but do not re-encode to it
 _NOT_EXACT = "it is not the exact encoding of what it decodes to"
 
 
@@ -802,7 +779,7 @@ class _CheckpointLines:
         if record is None:
             line = self.entries[text]
             try:
-                [obj] = json.loads((b"{%s}" % line).decode("utf-8")).values()
+                [obj] = parse_json(b"{%s}" % line).values()
                 record = record_from_dict(typed(obj, dict, "record"))
                 exact = _registry_entry_bytes(record) == line
             except DECODE_ERRORS as exc:
@@ -819,7 +796,7 @@ class _CheckpointLines:
         if event is None:
             line = self.events[index]
             try:
-                event = Event.from_dict(typed(json.loads(line.decode("utf-8")), dict, "event"))
+                event = Event.from_dict(typed(parse_json(line), dict, "event"))
                 exact = _event_bytes(event) == line
             except DECODE_ERRORS as exc:
                 raise _corrupt(self.source, f"event {index}", repr(exc)) from None

@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .canonical import COUNT, NON_NEGATIVE, U64, bounded, to_canonical_json, typed
+from .canonical import COUNT, MAX_DEPTH, NON_NEGATIVE, U64, bounded, nesting, to_canonical_json, typed
 from .chaincode import (
     ChainClock,
     OP_CHECK_EMBARGO,
@@ -24,6 +24,7 @@ from .chaincode import (
     OP_SUBMIT,
     OP_UPDATE_STATUS,
     WorldState,
+    _bad_args,
     execute_transaction,
 )
 from .corrections import OP_DISPUTE, OP_MERGE, OP_PARTIAL_DUP, OP_REJECT, OP_SPLIT
@@ -106,7 +107,8 @@ class Peer:
 
     def endorse(self, tx: Transaction):
         """Signature over the payload iff the caller has a certificate in the
-        state, the payload signature holds, a dry run of the chaincode passes
+        state, the payload signature holds, lists and objects nest in the
+        args no deeper than `MAX_DEPTH`, a dry run of the chaincode passes
         every guard, and neither the caller's certificate nor the one an
         onboarding carries is revoked on chain (`WorldState.revoked`).
         Otherwise a Refusal naming the failed guard. The CA signature is not
@@ -123,6 +125,8 @@ class Peer:
             cert.public_key, tx.payload_bytes(), bytes.fromhex(tx.caller_signature)
         ):
             return Refusal(self.peer_id, BadCertificate("payload signature invalid"))
+        if nesting(payload.get("args")) > MAX_DEPTH:  # what a writer commits, every reader decodes
+            return Refusal(self.peer_id, _bad_args(f"args nest deeper than {MAX_DEPTH}"))
         try:
             execute_transaction(
                 self.state, payload, ChainClock(payload["clockNow"]), check_only=True, decoded=tx.decoded()

@@ -11,7 +11,6 @@ past the one the node trusts by 1/256 of its size (`storage.checkpoint_due`).
 
 from __future__ import annotations
 
-import json
 import os
 import secrets
 import time
@@ -20,12 +19,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import errors
-from .canonical import PORT, bounded, number, to_canonical_json, typed
+from .canonical import MAX_DEPTH, PORT, bounded, nesting, number, parse_json, to_canonical_bytes
+from .canonical import to_canonical_json, typed
 from .chaincode import OP_CHECK_EMBARGO, OP_UPDATE_STATUS, WorldState
 from .corrections import OP_DISPUTE, OP_MERGE, OP_PARTIAL_DUP, OP_REJECT, OP_SPLIT
 from .errors import LedgerError
 from .identity import Certificate, CertificateAuthority, KeyPair, derive_keypair
-from .ledger import Block, EndorsementPolicy, state_hash
+from .ledger import DECODE_ERRORS, Block, EndorsementPolicy, state_hash
 from .network import DEFAULT_GOVERNANCE, OrdererConfig, SimulatedNetwork, SubmitResult, build_consortium
 from .records import parse_cve_id
 # audit_file and read_chain are looked up here by the benchmark's span tracer
@@ -106,19 +106,24 @@ def _key_file(key: KeyPair) -> dict:
 
 def read_json_file(path: str | Path, kind: type = dict, parse=None):
     """The JSON value of type `kind` in `path`, passed through `parse` when
-    one is given. A missing or unreadable file (a directory, say), bad JSON
-    (nesting too deep included), another type, or a value that `parse`
-    cannot take raises a LedgerError naming the file."""
+    one is given. It is held to what a ledger line holds: a missing or
+    unreadable file (a directory, say), what `canonical.parse_json`
+    refuses, another type, nesting past `MAX_DEPTH`, a value the canonical
+    encoder cannot write (a lone surrogate), or one that `parse` cannot
+    take raises a LedgerError naming the file."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = parse_json(Path(path).read_bytes())
         if not isinstance(obj, kind):
             raise TypeError(f"expected a JSON {kind.__name__}, got {type(obj).__name__}")
+        if nesting(obj) > MAX_DEPTH:
+            raise ValueError(f"lists and objects nest deeper than {MAX_DEPTH}")
+        to_canonical_bytes(obj)  # a lone surrogate decodes, but no line may hold one
         return obj if parse is None else parse(obj)
     except FileNotFoundError:
         raise LedgerError(f"file not found: {path}") from None
     except OSError as exc:
         raise LedgerError(f"cannot read {path}: {exc.strerror or exc!r}") from None
-    except (AttributeError, KeyError, RecursionError, TypeError, ValueError, LedgerError) as exc:
+    except DECODE_ERRORS as exc:
         raise LedgerError(f"malformed {path}: {exc!r}") from None
 
 

@@ -5,7 +5,8 @@ it. What a line is (`block_line`, `parse_line`, `checked_block`) and what
 the audit accepts (`ChainAuditor`) belong to `ledger`; this module owns the
 file: appends, crash recovery, the loader with its state checkpoint, the
 audit entry point with its watermark, and the writer lock. Three kinds of
-reader treat the file differently on purpose:
+reader decode a line by one rule (`canonical.parse_json`, which decodes
+the sidecars too) but treat the file differently on purpose:
 
 * the loader (`load_ledger`), behind `Node.open` and the CLI's readers,
   runs `checked_block` on every line it decodes and refuses a broken link.
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import fcntl
 import hashlib
-import json
 import logging
 import os
 import tempfile
@@ -50,7 +50,7 @@ from collections.abc import Callable, Sequence
 from pathlib import Path
 from typing import NamedTuple
 
-from .canonical import ZERO_HASH, to_canonical_bytes, typed
+from .canonical import ZERO_HASH, parse_json, to_canonical_bytes, typed
 from .chaincode import WorldState
 from .errors import LedgerCorrupt
 from .ledger import (
@@ -392,7 +392,7 @@ def _read_sidecar(mark: Path, data: bytes, log: logging.Logger, what: str, check
         size = len(raw)
         header_line, *body = raw.split(b"\n")
         del raw  # one copy of the bytes while `check` runs: the lines
-        header = typed(json.loads(header_line), dict, what)
+        header = typed(parse_json(header_line), dict, what)
         offset, height = typed(header["offset"], int, "offset"), typed(header["height"], int, "height")
         if not 0 < offset <= len(data) or data[offset - 1] != ord("\n"):
             raise ValueError(f"offset {offset} does not end a line of the ledger")

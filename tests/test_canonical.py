@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cveledger.canonical import COUNT, NON_NEGATIVE, PORT, U64, bounded, is_hex_digest, number
+from cveledger.canonical import parse_json, to_canonical_bytes
+
+from test_certificates import _json as _CERT_JSON
+from test_line_owner import _JSON as _LINE_JSON
 
 
 def scan_is_hex_digest(value, length=64):
@@ -75,3 +81,46 @@ def test_each_row_takes_its_ends_and_refuses_one_past_them_with_the_callers_erro
         with pytest.raises(Refused) as refused:
             bounded(value, row, Refused)
         assert refused.value.args == (value,)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_LINE_JSON, _CERT_JSON))
+def test_the_decoder_reads_back_every_value_the_encoder_writes(value):
+    data = to_canonical_bytes(value)
+    decoded = parse_json(data)
+    assert decoded == value
+    assert to_canonical_bytes(decoded) == data  # 1, 1.0 and true stay apart
+
+
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400", "-1E+400"]
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+def test_the_decoder_refuses_what_the_encoder_never_writes(literal):
+    data = b'{"cvssScore":[%s]}' % literal.encode()
+    assert json.loads(data)  # the plain decoder takes it
+    with pytest.raises(ValueError, match="non-finite number"):
+        parse_json(data)
+
+
+@pytest.mark.parametrize(
+    "data, why",
+    [
+        (b"[" * 100_000 + b"]" * 100_000, "nesting"),
+        (b'"\xff"', "utf-8"),
+        (b"\xef\xbb\xbf{}", "Expecting value"),
+        ('"x"'.encode("utf-16"), "utf-8"),
+        (b"{} {}", "Extra data"),
+    ],
+    ids=["too deep", "not UTF-8", "a BOM", "UTF-16", "two values"],
+)
+def test_the_decoder_refuses_bytes_that_are_not_one_utf8_json_value_with_a_value_error(data, why):
+    with pytest.raises(ValueError, match=why):
+        parse_json(data)
+
+
+def test_a_lone_surrogate_escape_decodes_and_only_the_encoder_refuses_it():
+    value = parse_json(b'["\\ud800"]')
+    assert value == ["\ud800"]
+    with pytest.raises(UnicodeEncodeError):
+        to_canonical_bytes(value)

@@ -59,6 +59,42 @@ def test_merge_refuses_a_meta_file_of_the_wrong_shape(tmp_path, data_dir, capsys
     assert str(meta) in err["message"]
 
 
+# What canonical JSON never writes: the non-finite literals a ledger line may
+# not hold, and a lone surrogate, which decodes but cannot be encoded.
+UNWRITABLE = ["NaN", "Infinity", "-Infinity", "1e400", "-1E+400", '"\\ud800"']
+
+INPUT_FILES = {
+    "submit": (
+        lambda where: ["submit", str(where)],
+        '{"cveID": "CVE-2025-0001", "description": "Stack smash in widget", "product": "widget",'
+        ' "version": [{"lo": [1, 0, 0], "hi": [2, 0, 0]}],'
+        ' "severity": {"label": "HIGH", "cvssScore": %s}, "submitterCNA": "cna.redhat"}',
+    ),
+    "merge --meta": (
+        lambda where: ["merge", "CVE-2025-0001", "CVE-2025-0002", "--meta", str(where)],
+        '[{"cveID": "CVE-2025-0001", "criteria": [%s]}, {"cveID": "CVE-2025-0002"}]',
+    ),
+    "split --candidates": (
+        lambda where: ["split", "CVE-2025-0001", "--candidates", str(where)],
+        '[{"description": "part one", "cvssScore": %s}, {"description": "part two"}]',
+    ),
+}
+
+
+@pytest.mark.parametrize("literal", UNWRITABLE)
+@pytest.mark.parametrize("command", sorted(INPUT_FILES))
+def test_an_input_file_holding_what_the_encoder_never_writes_is_refused_by_name(
+    tmp_path, data_dir, capsys, command, literal
+):
+    argv, content = INPUT_FILES[command]
+    where = tmp_path / "input.json"
+    where.write_text(content % literal)
+    before = [(data_dir / name).read_bytes() for name in (LEDGER_FILE, f"{LEDGER_FILE}.state")]
+    code, err = run_cli(capsys, data_dir, *argv(where))
+    assert code == 1 and err["error"] == "LedgerError" and str(where) in err["message"], err
+    assert [(data_dir / name).read_bytes() for name in (LEDGER_FILE, f"{LEDGER_FILE}.state")] == before
+
+
 BAD_FILES = [
     (CONFIG_FILE, "[]"),
     (CONFIG_FILE, '{"ordererConfig": []}'),
